@@ -77,6 +77,7 @@ IDENTITY_NUMERIC_KEYS = {
     "batch_size",
     "threads",
     "rows_per_table",
+    "rows",
     "k",
     "offered_qps",
     "write_qps",

@@ -218,11 +218,13 @@ class Evaluation {
     const Atom& atom = *pa.atom;
 
     // Candidate rows: a hash probe on some bound column if permitted, else
-    // an ordered-index span narrowed by a range filter attached to this
+    // the ordered-index spans narrowed by a range filter attached to this
     // level, otherwise a full scan. Index postings reference live rows
     // only, so no tombstone check is needed on the probe paths.
-    const uint32_t* cand_begin = nullptr;
-    const uint32_t* cand_end = nullptr;
+    IdSpan probe{nullptr, nullptr};
+    IdSpans ranges;
+    const IdSpan* spans_begin = nullptr;
+    const IdSpan* spans_end = nullptr;
     bool have_candidates = false;
     if (opts_.use_indexes) {
       for (size_t i = 0; i < atom.args.size(); ++i) {
@@ -232,21 +234,19 @@ class Evaluation {
         if (is_bound && pa.table->HasIndex(i)) {
           const std::vector<uint32_t>* postings =
               pa.table->Probe(i, TermValue(t));
-          cand_begin = postings->data();
-          cand_end = postings->data() + postings->size();
+          probe = {postings->data(), postings->data() + postings->size()};
+          spans_begin = &probe;
+          spans_end = spans_begin + 1;
           have_candidates = true;
           ++local_stats_.index_probes;
           break;
         }
       }
-      if (!have_candidates) {
-        auto span = RangeCandidates(level);
-        if (span.first != nullptr) {
-          cand_begin = span.first;
-          cand_end = span.second;
-          have_candidates = true;
-          ++local_stats_.range_probes;
-        }
+      if (!have_candidates && RangeCandidates(level, &ranges)) {
+        spans_begin = ranges.data();
+        spans_end = spans_begin + ranges.size();
+        have_candidates = true;
+        ++local_stats_.range_probes;
       }
     }
 
@@ -273,9 +273,11 @@ class Evaluation {
     };
 
     if (have_candidates) {
-      for (const uint32_t* p = cand_begin; p != cand_end; ++p) {
-        if (done_) break;
-        EQ_RETURN_NOT_OK(visit(pa.table->row(*p)));
+      for (const IdSpan* s = spans_begin; s != spans_end && !done_; ++s) {
+        for (const uint32_t* p = s->first; p != s->second; ++p) {
+          if (done_) break;
+          EQ_RETURN_NOT_OK(visit(pa.table->row(*p)));
+        }
       }
     } else {
       for (size_t rid = 0; rid < pa.table->physical_size(); ++rid) {
@@ -299,15 +301,16 @@ class Evaluation {
     }
   }
 
-  /// An ordered-index span for the atom at `level`: looks for a filter
+  /// Ordered-index spans for the atom at `level`: looks for a filter
   /// attached to this level of the shape `var <op> bound-term` (or the
   /// reverse, flipping the op) where `var` is introduced by this atom at an
   /// ordered-indexed position, and narrows the candidates to the index
-  /// slice satisfying the comparison. The filter still runs afterwards —
-  /// the span only has to be a superset of the matching rows (it is in
-  /// fact exact for the conjunct it uses, since the index is sorted by the
-  /// same comparator EvalCompare applies).
-  std::pair<const uint32_t*, const uint32_t*> RangeCandidates(size_t level) {
+  /// slices satisfying the comparison (one span per index chunk). The
+  /// filter still runs afterwards — the spans only have to cover the
+  /// matching rows (they are in fact exact for the conjunct they use,
+  /// since the index is sorted by the same comparator EvalCompare
+  /// applies). False when no filter can use an ordered index.
+  bool RangeCandidates(size_t level, IdSpans* out) {
     const PlannedAtom& pa = plan_[level];
     const Atom& atom = *pa.atom;
     for (size_t fi = 0; fi < q_.filters.size(); ++fi) {
@@ -327,12 +330,13 @@ class Evaluation {
           const Term& at = atom.args[i];
           if (at.is_var() && at.var() == vt.var() &&
               pa.table->HasOrderedIndex(i)) {
-            return pa.table->OrderedRange(i, op, TermValue(ct));
+            *out = pa.table->OrderedRange(i, op, TermValue(ct));
+            return true;
           }
         }
       }
     }
-    return {nullptr, nullptr};
+    return false;
   }
 
   const Snapshot& snap_;

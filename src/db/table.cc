@@ -1,8 +1,41 @@
 #include "db/table.h"
 
 #include <algorithm>
+#include <atomic>
+#include <tuple>
 
 namespace eq::db {
+
+namespace {
+
+/// Owner tags: every TableVersion takes a fresh one, so a piece created by
+/// one version is never mistaken for another version's.
+uint64_t NextOwnerTag() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// The partition count for `keys` distinct keys: the smallest power of two
+/// giving at most kKeysPerPartition keys per partition on average.
+size_t PartitionsFor(size_t keys) {
+  size_t parts = 1;
+  while (parts * TableVersion::kKeysPerPartition < keys) parts <<= 1;
+  return parts;
+}
+
+size_t PartitionOf(const ir::Value& v, size_t parts) {
+  return ir::ValueHash()(v) & (parts - 1);
+}
+
+/// The first entry of a partition whose key is not less than `key`.
+template <typename Entries>
+auto SeekKey(Entries& entries, const ir::Value& key) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const auto& e, const ir::Value& k) { return e.first < k; });
+}
+
+}  // namespace
 
 const std::vector<uint32_t> TableVersion::kEmptyPostings;
 
@@ -11,6 +44,35 @@ int Schema::ColumnIndex(std::string_view name) const {
     if (columns[i].name == name) return static_cast<int>(i);
   }
   return -1;
+}
+
+TableVersion::TableVersion(Schema schema, const StringInterner* order)
+    : schema_(std::move(schema)), order_(order), id_(NextOwnerTag()) {}
+
+TableVersion::TableVersion(const TableVersion& other)
+    : schema_(other.schema_),
+      order_(other.order_),
+      id_(NextOwnerTag()),
+      segs_(other.segs_),
+      size_(other.size_),
+      dead_count_(other.dead_count_),
+      hash_(other.hash_),
+      ordered_(other.ordered_) {}
+
+template <typename Piece>
+Piece* TableVersion::Own(std::shared_ptr<Piece>& piece) {
+  if (piece->owner != id_) {
+    piece = std::make_shared<Piece>(*piece);
+    piece->owner = id_;
+  }
+  return piece.get();
+}
+
+template <typename Piece>
+std::shared_ptr<Piece> TableVersion::NewPiece() const {
+  auto piece = std::make_shared<Piece>();
+  piece->owner = id_;
+  return piece;
 }
 
 Status TableVersion::CheckRow(const Row& row) const {
@@ -31,58 +93,147 @@ Status TableVersion::CheckRow(const Row& row) const {
 
 Status TableVersion::Insert(Row row) {
   EQ_RETURN_NOT_OK(CheckRow(row));
-  AppendRow(std::move(row));
+  AppendRow(std::make_shared<const Row>(std::move(row)));
   return Status::OK();
 }
 
-uint32_t TableVersion::AppendRow(Row row) {
-  uint32_t id = static_cast<uint32_t>(rows_.size());
-  for (size_t c = 0; c < indexed_.size(); ++c) {
-    if (indexed_[c]) indexes_[c][row[c]].push_back(id);
+void TableVersion::AppendRow(std::shared_ptr<const Row> row) {
+  const uint32_t id = static_cast<uint32_t>(size_);
+  const size_t s = id >> kSegmentShift;
+  if (s == segs_.size()) segs_.push_back(NewPiece<Segment>());
+  const Row& cells = *row;
+  Own(segs_[s])->rows[id & kSegmentMask] = std::move(row);
+  ++size_;
+  for (size_t c = 0; c < hash_.size(); ++c) {
+    HashIndex& h = hash_[c];
+    if (h.parts.empty()) continue;
+    auto& entries =
+        Own(h.parts[PartitionOf(cells[c], h.parts.size())])->entries;
+    auto it = SeekKey(entries, cells[c]);
+    if (it != entries.end() && it->first == cells[c]) {
+      it->second.push_back(id);
+      continue;
+    }
+    entries.insert(it, {cells[c], {id}});
+    // Doubling keeps partitions near kKeysPerPartition keys: amortized
+    // O(1) per new key.
+    if (++h.keys > h.parts.size() * kKeysPerPartition) {
+      Repartition(c, h.parts.size() * 2);
+    }
   }
-  for (size_t c = 0; c < ordered_built_.size(); ++c) {
-    if (!ordered_built_[c]) continue;
-    // Sorted insertion by (cell value, row id) — ids only grow, so the id
-    // tie-break inserts after equal cells, keeping the order stable.
-    std::vector<uint32_t>& idx = ordered_[c];
-    auto pos = std::upper_bound(
-        idx.begin(), idx.end(), row[c],
-        [&](const ir::Value& v, uint32_t rid) {
-          return ir::CompareValues(v, rows_[rid][c], order_) < 0;
-        });
-    idx.insert(pos, id);
+  for (size_t c = 0; c < ordered_.size(); ++c) {
+    if (ordered_[c].built) OrderedInsert(c, id);
   }
-  rows_.push_back(std::move(row));
-  dead_.push_back(0);
-  return id;
 }
 
 void TableVersion::KillRow(uint32_t id) {
-  dead_[id] = 1;
+  Segment* seg = Own(segs_[id >> kSegmentShift]);
+  const size_t j = id & kSegmentMask;
+  seg->dead[j >> 6] |= uint64_t{1} << (j & 63);
   ++dead_count_;
-  for (size_t c = 0; c < indexed_.size(); ++c) {
-    if (!indexed_[c]) continue;
-    auto it = indexes_[c].find(rows_[id][c]);
-    if (it == indexes_[c].end()) continue;
-    std::vector<uint32_t>& postings = it->second;
-    postings.erase(std::remove(postings.begin(), postings.end(), id),
-                   postings.end());
+  const Row& cells = *seg->rows[j];
+  for (size_t c = 0; c < hash_.size(); ++c) {
+    HashIndex& h = hash_[c];
+    if (h.parts.empty()) continue;
+    auto& part = h.parts[PartitionOf(cells[c], h.parts.size())];
+    auto found = SeekKey(part->entries, cells[c]);
+    if (found == part->entries.end() || found->first != cells[c]) continue;
+    const size_t at = static_cast<size_t>(found - part->entries.begin());
+    auto& entries = Own(part)->entries;
+    std::vector<uint32_t>& ids = entries[at].second;
+    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+    if (ids.empty()) {
+      entries.erase(entries.begin() + static_cast<ptrdiff_t>(at));
+      --h.keys;
+    }
   }
-  for (size_t c = 0; c < ordered_built_.size(); ++c) {
-    if (!ordered_built_[c]) continue;
-    std::vector<uint32_t>& idx = ordered_[c];
-    const ir::Value& v = rows_[id][c];
-    // The span of equal cell values, then the id within it.
-    auto lo = std::lower_bound(
-        idx.begin(), idx.end(), v, [&](uint32_t rid, const ir::Value& b) {
-          return ir::CompareValues(rows_[rid][c], b, order_) < 0;
-        });
-    auto hi = std::upper_bound(
-        lo, idx.end(), v, [&](const ir::Value& b, uint32_t rid) {
-          return ir::CompareValues(b, rows_[rid][c], order_) < 0;
-        });
-    auto at = std::find(lo, hi, id);
-    if (at != hi) idx.erase(at);
+  for (size_t c = 0; c < ordered_.size(); ++c) {
+    if (ordered_[c].built) OrderedErase(c, id);
+  }
+}
+
+int TableVersion::CompareCells(const Key& a, const Key& b,
+                               const StringInterner* order) {
+  if (a.text == nullptr || b.text == nullptr) {
+    return ir::CompareValues(*a.cell, *b.cell, order);
+  }
+  if (*a.cell == *b.cell) return 0;
+  int c = a.text->compare(*b.text);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
+template <typename Pred>
+std::pair<size_t, size_t> TableVersion::OrderedBound(size_t col,
+                                                     Pred pred) const {
+  const auto& chunks = ordered_[col].chunks;
+  // The first chunk whose last entry satisfies `pred` holds the bound;
+  // chunks cache that entry's cell, so this search touches no rows.
+  auto ci = std::partition_point(
+      chunks.begin(), chunks.end(), [&](const std::shared_ptr<Chunk>& ch) {
+        return !pred(Key{&ch->last, ch->last_text, ch->ids.back()});
+      });
+  if (ci == chunks.end()) return {chunks.size(), 0};
+  const std::vector<uint32_t>& ids = (*ci)->ids;
+  auto at = std::partition_point(
+      ids.begin(), ids.end() - 1,
+      [&](uint32_t rid) { return !pred(Key{&row(rid)[col], nullptr, rid}); });
+  return {static_cast<size_t>(ci - chunks.begin()),
+          static_cast<size_t>(at - ids.begin())};
+}
+
+void TableVersion::OrderedInsert(size_t col, uint32_t id) {
+  auto& chunks = ordered_[col].chunks;
+  const ir::Value& v = row(id)[col];
+  const Key key{&v, TextOf(v), id};
+  auto before = [&](const Key& entry) { return KeyLess(key, entry); };
+  size_t ci;
+  size_t at;
+  if (chunks.empty()) {
+    chunks.push_back(NewPiece<Chunk>());
+    chunks.back()->ids.reserve(kChunkRows + 1);
+    ci = 0;
+    at = 0;
+  } else if (const Chunk& tail = *chunks.back();
+             !before(Key{&tail.last, tail.last_text, tail.ids.back()})) {
+    ci = chunks.size() - 1;  // past every entry (ascending loads): append
+    at = tail.ids.size();
+  } else {
+    std::tie(ci, at) = OrderedBound(col, before);
+  }
+  Chunk* chunk = Own(chunks[ci]);
+  chunk->ids.insert(chunk->ids.begin() + static_cast<ptrdiff_t>(at), id);
+  if (at + 1 == chunk->ids.size()) {
+    chunk->last = v;
+    chunk->last_text = key.text;
+  }
+  if (chunk->ids.size() > kChunkRows) {
+    const size_t half = chunk->ids.size() / 2;
+    auto upper = NewPiece<Chunk>();
+    upper->ids.reserve(kChunkRows + 1);
+    upper->ids.assign(chunk->ids.begin() + static_cast<ptrdiff_t>(half),
+                      chunk->ids.end());
+    upper->last = chunk->last;
+    upper->last_text = chunk->last_text;
+    chunk->ids.resize(half);
+    SetLast(chunk, row(chunk->ids.back())[col]);
+    chunks.insert(chunks.begin() + static_cast<ptrdiff_t>(ci) + 1,
+                  std::move(upper));
+  }
+}
+
+void TableVersion::OrderedErase(size_t col, uint32_t id) {
+  auto& chunks = ordered_[col].chunks;
+  const ir::Value& v = row(id)[col];
+  const Key key{&v, TextOf(v), id};
+  auto [ci, at] = OrderedBound(
+      col, [&](const Key& entry) { return !KeyLess(entry, key); });
+  if (ci == chunks.size() || chunks[ci]->ids[at] != id) return;
+  Chunk* chunk = Own(chunks[ci]);
+  chunk->ids.erase(chunk->ids.begin() + static_cast<ptrdiff_t>(at));
+  if (chunk->ids.empty()) {
+    chunks.erase(chunks.begin() + static_cast<ptrdiff_t>(ci));
+  } else if (at == chunk->ids.size()) {
+    SetLast(chunk, row(chunk->ids.back())[col]);
   }
 }
 
@@ -153,44 +304,41 @@ const std::vector<uint32_t>* TableVersion::EqPostings(
   return nullptr;
 }
 
-std::pair<const uint32_t*, const uint32_t*> TableVersion::CandidateSpan(
-    const Predicate& pred) const {
+bool TableVersion::CandidateSpans(const Predicate& pred, IdSpans* out) const {
   if (const std::vector<uint32_t>* postings = EqPostings(pred)) {
-    return {postings->data(), postings->data() + postings->size()};
+    out->push_back({postings->data(), postings->data() + postings->size()});
+    return true;
   }
   for (const Predicate::Term& t : pred.terms) {
     if (t.op == ir::CompareOp::kEq || t.op == ir::CompareOp::kNe) continue;
     if (!HasOrderedIndex(t.col)) continue;
-    return OrderedRange(t.col, t.op, t.value);
+    *out = OrderedRange(t.col, t.op, t.value);
+    return true;
   }
-  return {nullptr, nullptr};
+  return false;
 }
 
-/// Collects the live row ids matching `pred`, via an index span when one
-/// applies (postings never contain tombstoned ids, but the dead check also
-/// guards the full-scan path). Matching BEFORE mutating matters: killing a
-/// row edits the very posting lists a span may point into.
-static void CollectMatches(const TableVersion& v, const Predicate& pred,
-                           std::pair<const uint32_t*, const uint32_t*> span,
-                           std::vector<uint32_t>* hits) {
-  if (span.first != nullptr) {
-    for (const uint32_t* p = span.first; p != span.second; ++p) {
-      if (!v.row_dead(*p) && pred.Matches(v.row(*p), v.order())) {
-        hits->push_back(*p);
+std::vector<uint32_t> TableVersion::MatchingIds(const Predicate& pred) const {
+  // Postings never contain tombstoned ids, but the dead check also guards
+  // the full-scan path.
+  std::vector<uint32_t> hits;
+  IdSpans spans;
+  if (CandidateSpans(pred, &spans)) {
+    for (const IdSpan& span : spans) {
+      for (const uint32_t* p = span.first; p != span.second; ++p) {
+        if (!row_dead(*p) && pred.Matches(row(*p), order_)) hits.push_back(*p);
       }
     }
-    return;
+    return hits;
   }
-  for (uint32_t i = 0; i < v.physical_size(); ++i) {
-    if (!v.row_dead(i) && pred.Matches(v.row(i), v.order())) {
-      hits->push_back(i);
-    }
+  for (uint32_t i = 0; i < size_; ++i) {
+    if (!row_dead(i) && pred.Matches(row(i), order_)) hits.push_back(i);
   }
+  return hits;
 }
 
 size_t TableVersion::DeleteWhere(const Predicate& pred) {
-  std::vector<uint32_t> hits;
-  CollectMatches(*this, pred, CandidateSpan(pred), &hits);
+  std::vector<uint32_t> hits = MatchingIds(pred);
   for (uint32_t id : hits) KillRow(id);
   return hits.size();
 }
@@ -200,13 +348,12 @@ size_t TableVersion::UpdateWhere(const Predicate& pred,
   // MVCC update: tombstone the old row, append the updated copy. Matched
   // ids are collected first — appends grow the posting lists (and the row
   // array) that matching iterates.
-  std::vector<uint32_t> hits;
-  CollectMatches(*this, pred, CandidateSpan(pred), &hits);
+  std::vector<uint32_t> hits = MatchingIds(pred);
   for (uint32_t id : hits) {
-    Row next = rows_[id];
+    Row next = row(id);
     for (const ColumnSet& s : sets) next[s.col] = s.value;
     KillRow(id);
-    AppendRow(std::move(next));
+    AppendRow(std::make_shared<const Row>(std::move(next)));
   }
   return hits.size();
 }
@@ -226,41 +373,45 @@ size_t TableVersion::UpdateWhere(size_t col, const ir::Value& v,
 }
 
 bool TableVersion::AnyMatch(const Predicate& pred) const {
-  auto [b, e] = CandidateSpan(pred);
-  if (b != nullptr) {
-    for (const uint32_t* p = b; p != e; ++p) {
-      if (!row_dead(*p) && pred.Matches(rows_[*p], order_)) return true;
+  IdSpans spans;
+  if (CandidateSpans(pred, &spans)) {
+    for (const IdSpan& span : spans) {
+      for (const uint32_t* p = span.first; p != span.second; ++p) {
+        if (!row_dead(*p) && pred.Matches(row(*p), order_)) return true;
+      }
     }
     return false;
   }
-  for (uint32_t i = 0; i < rows_.size(); ++i) {
-    if (!dead_[i] && pred.Matches(rows_[i], order_)) return true;
+  for (uint32_t i = 0; i < size_; ++i) {
+    if (!row_dead(i) && pred.Matches(row(i), order_)) return true;
   }
   return false;
 }
 
 void TableVersion::Compact() {
   if (dead_count_ == 0) return;
-  size_t w = 0;
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    if (dead_[r]) continue;
-    // Guard the prefix where nothing was dropped yet: self-move-assigning
-    // a vector leaves it valid-but-unspecified (empty on libstdc++).
-    if (w != r) rows_[w] = std::move(rows_[r]);
-    ++w;
-  }
-  rows_.resize(w);
-  dead_.assign(w, 0);
+  std::vector<std::shared_ptr<Segment>> old;
+  old.swap(segs_);
+  const size_t n = size_;
+  size_ = 0;
   dead_count_ = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Segment& seg = *old[i >> kSegmentShift];
+    if (seg.Dead(i & kSegmentMask)) continue;
+    const uint32_t id = static_cast<uint32_t>(size_);
+    if ((id & kSegmentMask) == 0) segs_.push_back(NewPiece<Segment>());
+    segs_.back()->rows[id & kSegmentMask] = seg.rows[i & kSegmentMask];
+    ++size_;
+  }
   RebuildIndexes();
 }
 
 void TableVersion::RebuildIndexes() {
-  for (size_t c = 0; c < indexed_.size(); ++c) {
-    if (indexed_[c]) BuildIndex(c);
+  for (size_t c = 0; c < hash_.size(); ++c) {
+    if (HasIndex(c)) BuildIndex(c);
   }
-  for (size_t c = 0; c < ordered_built_.size(); ++c) {
-    if (ordered_built_[c]) BuildOrderedIndex(c);
+  for (size_t c = 0; c < ordered_.size(); ++c) {
+    if (HasOrderedIndex(c)) BuildOrderedIndex(c);
   }
 }
 
@@ -268,16 +419,61 @@ Status TableVersion::BuildIndex(size_t col) {
   if (col >= schema_.arity()) {
     return Status::InvalidArgument("no column " + std::to_string(col));
   }
-  if (indexes_.size() < schema_.arity()) {
-    indexes_.resize(schema_.arity());
-    indexed_.resize(schema_.arity(), false);
+  if (hash_.size() < schema_.arity()) hash_.resize(schema_.arity());
+  // Bulk load: one sort of (key, row id), then each key's run becomes an
+  // entry of its partition — appended in key order, so already sorted.
+  std::vector<std::pair<ir::Value, uint32_t>> cells;
+  cells.reserve(row_count());
+  for (uint32_t i = 0; i < size_; ++i) {
+    if (!row_dead(i)) cells.emplace_back(row(i)[col], i);
   }
-  indexes_[col].clear();
-  indexed_[col] = true;
-  for (uint32_t i = 0; i < rows_.size(); ++i) {
-    if (!dead_[i]) indexes_[col][rows_[i][col]].push_back(i);
+  std::sort(cells.begin(), cells.end());
+  size_t keys = 0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (i == 0 || cells[i].first != cells[i - 1].first) ++keys;
+  }
+  HashIndex& h = hash_[col];
+  h.keys = keys;
+  h.parts.clear();
+  const size_t parts = PartitionsFor(keys);
+  for (size_t p = 0; p < parts; ++p) h.parts.push_back(NewPiece<Partition>());
+  for (size_t i = 0; i < cells.size();) {
+    size_t end = i;
+    std::vector<uint32_t> ids;
+    while (end < cells.size() && cells[end].first == cells[i].first) {
+      ids.push_back(cells[end++].second);
+    }
+    h.parts[PartitionOf(cells[i].first, parts)]->entries.emplace_back(
+        cells[i].first, std::move(ids));
+    i = end;
   }
   return Status::OK();
+}
+
+void TableVersion::Repartition(size_t col, size_t parts) {
+  HashIndex& h = hash_[col];
+  const size_t old_parts = h.parts.size();
+  h.parts.resize(parts);
+  for (size_t p = old_parts; p < parts; ++p) {
+    h.parts[p] = NewPiece<Partition>();
+    h.parts[p]->entries.reserve(kKeysPerPartition);
+  }
+  // Partition p's entries go to p + k * old_parts; walking p in key order
+  // appends to every target in key order.
+  for (size_t p = 0; p < old_parts; ++p) {
+    std::shared_ptr<Partition> src = std::move(h.parts[p]);
+    h.parts[p] = NewPiece<Partition>();
+    h.parts[p]->entries.reserve(kKeysPerPartition);
+    const bool owned = src->owner == id_;
+    for (Partition::Entry& e : src->entries) {
+      auto& to = h.parts[PartitionOf(e.first, parts)]->entries;
+      if (owned) {
+        to.push_back(std::move(e));
+      } else {
+        to.push_back(e);
+      }
+    }
+  }
 }
 
 Status TableVersion::BuildOrderedIndex(size_t col) {
@@ -290,63 +486,80 @@ Status TableVersion::BuildOrderedIndex(size_t col) {
         "ordered index on STRING column '" + schema_.columns[col].name +
         "' needs the table's sorted dictionary (this table has none)");
   }
-  if (ordered_.size() < schema_.arity()) {
-    ordered_.resize(schema_.arity());
-    ordered_built_.resize(schema_.arity(), false);
+  if (ordered_.size() < schema_.arity()) ordered_.resize(schema_.arity());
+  // Bulk load: one sort of every live entry, then slice into full chunks.
+  // String cells resolve their text once per row, so the sort compares
+  // text directly instead of taking the interner's lock per comparison.
+  std::vector<Key> keys;
+  keys.reserve(row_count());
+  for (uint32_t i = 0; i < size_; ++i) {
+    if (row_dead(i)) continue;
+    const ir::Value& cell = row(i)[col];
+    keys.push_back({&cell, TextOf(cell), i});
   }
-  std::vector<uint32_t>& idx = ordered_[col];
-  idx.clear();
-  idx.reserve(rows_.size() - dead_count_);
-  for (uint32_t i = 0; i < rows_.size(); ++i) {
-    if (!dead_[i]) idx.push_back(i);
+  std::sort(keys.begin(), keys.end(),
+            [&](const Key& a, const Key& b) { return KeyLess(a, b); });
+  OrderedIndex& idx = ordered_[col];
+  idx.built = true;
+  idx.chunks.clear();
+  for (size_t at = 0; at < keys.size(); at += kChunkRows) {
+    const size_t end = std::min(keys.size(), at + kChunkRows);
+    auto chunk = NewPiece<Chunk>();
+    chunk->ids.reserve(end - at);
+    for (size_t e = at; e < end; ++e) chunk->ids.push_back(keys[e].id);
+    chunk->last = *keys[end - 1].cell;
+    chunk->last_text = keys[end - 1].text;
+    idx.chunks.push_back(std::move(chunk));
   }
-  std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-    int c = ir::CompareValues(rows_[a][col], rows_[b][col], order_);
-    if (c != 0) return c < 0;
-    return a < b;
-  });
-  ordered_built_[col] = true;
   return Status::OK();
 }
 
-std::pair<const uint32_t*, const uint32_t*> TableVersion::OrderedRange(
-    size_t col, ir::CompareOp op, const ir::Value& v) const {
-  if (!HasOrderedIndex(col)) return {nullptr, nullptr};
-  const std::vector<uint32_t>& idx = ordered_[col];
-  auto cell_lt = [&](uint32_t rid, const ir::Value& b) {
-    return ir::CompareValues(rows_[rid][col], b, order_) < 0;
+IdSpans TableVersion::OrderedRange(size_t col, ir::CompareOp op,
+                                   const ir::Value& v) const {
+  IdSpans spans;
+  if (!HasOrderedIndex(col)) return spans;
+  const Key bound{&v, TextOf(v), 0};
+  auto cell_ge = [&](const Key& entry) {
+    return CompareCells(entry, bound, order_) >= 0;
   };
-  auto val_lt = [&](const ir::Value& b, uint32_t rid) {
-    return ir::CompareValues(b, rows_[rid][col], order_) < 0;
+  auto cell_gt = [&](const Key& entry) {
+    return CompareCells(entry, bound, order_) > 0;
   };
-  const uint32_t* base = idx.data();
+  const auto& chunks = ordered_[col].chunks;
+  std::pair<size_t, size_t> lo{0, 0};
+  std::pair<size_t, size_t> hi{chunks.size(), 0};
   switch (op) {
-    case ir::CompareOp::kLt: {
-      auto hi = std::lower_bound(idx.begin(), idx.end(), v, cell_lt);
-      return {base, base + (hi - idx.begin())};
-    }
-    case ir::CompareOp::kLe: {
-      auto hi = std::upper_bound(idx.begin(), idx.end(), v, val_lt);
-      return {base, base + (hi - idx.begin())};
-    }
-    case ir::CompareOp::kGt: {
-      auto lo = std::upper_bound(idx.begin(), idx.end(), v, val_lt);
-      return {base + (lo - idx.begin()), base + idx.size()};
-    }
-    case ir::CompareOp::kGe: {
-      auto lo = std::lower_bound(idx.begin(), idx.end(), v, cell_lt);
-      return {base + (lo - idx.begin()), base + idx.size()};
-    }
+    case ir::CompareOp::kLt:
+      hi = OrderedBound(col, cell_ge);
+      break;
+    case ir::CompareOp::kLe:
+      hi = OrderedBound(col, cell_gt);
+      break;
+    case ir::CompareOp::kGt:
+      lo = OrderedBound(col, cell_gt);
+      break;
+    case ir::CompareOp::kGe:
+      lo = OrderedBound(col, cell_ge);
+      break;
     default:
-      return {nullptr, nullptr};
+      return spans;
   }
+  for (size_t c = lo.first; c <= hi.first && c < chunks.size(); ++c) {
+    const std::vector<uint32_t>& ids = chunks[c]->ids;
+    const size_t b = c == lo.first ? lo.second : 0;
+    const size_t e = c == hi.first ? hi.second : ids.size();
+    if (b < e) spans.push_back({ids.data() + b, ids.data() + e});
+  }
+  return spans;
 }
 
 const std::vector<uint32_t>* TableVersion::Probe(size_t col,
-                                          const ir::Value& v) const {
+                                                 const ir::Value& v) const {
   if (!HasIndex(col)) return nullptr;
-  auto it = indexes_[col].find(v);
-  if (it == indexes_[col].end()) return &kEmptyPostings;
+  const HashIndex& h = hash_[col];
+  const auto& entries = h.parts[PartitionOf(v, h.parts.size())]->entries;
+  auto it = SeekKey(entries, v);
+  if (it == entries.end() || it->first != v) return &kEmptyPostings;
   return &it->second;
 }
 

@@ -1,9 +1,11 @@
 #ifndef EQ_DB_TABLE_H_
 #define EQ_DB_TABLE_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ir/query.h"
@@ -116,6 +118,12 @@ Status ValidateColumnSets(const Schema& schema,
 /// overload and batch application.
 std::vector<ColumnSet> ReplacementSets(const Row& replacement);
 
+/// A run of row ids inside one index piece: [first, second).
+using IdSpan = std::pair<const uint32_t*, const uint32_t*>;
+/// The row ids of a range probe, in index order, one span per ordered-
+/// index chunk the range touches.
+using IdSpans = std::vector<IdSpan>;
+
 /// One immutable version of an in-memory row-store table: rows plus
 /// optional per-column hash and ordered indexes, with tombstoned deletes.
 ///
@@ -124,8 +132,24 @@ std::vector<ColumnSet> ReplacementSets(const Row& replacement);
 /// only while it is exclusively owned (bootstrap, or the private copy a
 /// write makes); once published inside a db::Snapshot it is shared
 /// immutably via shared_ptr across every reader (§2.3: the database must
-/// not change during coordinated answering). Copy-construction deep-copies
-/// rows and indexes — the unit of copy-on-write is the whole table.
+/// not change during coordinated answering).
+///
+/// Structural sharing: a version is a directory of pieces, each held by
+/// shared_ptr and shared with the versions it was copied from or to —
+///  - rows live in fixed-size segments (kSegmentRows), each holding
+///    shared_ptrs to its rows and its own tombstone bitmap;
+///  - each hash index is split by ir::ValueHash into partitions, whose
+///    count is a power of two derived from the key count (about
+///    kKeysPerPartition keys each; it doubles as keys are added);
+///  - each ordered index is a list of sorted chunks of at most kChunkRows
+///    row ids (a full chunk splits in two on insert).
+/// Copy-construction copies only the directories, so the unit of
+/// copy-on-write is the piece: a one-row write clones the segment it
+/// touches, one partition per hash index and one chunk per ordered index,
+/// and every other piece stays pointer-identical to the predecessor's.
+/// A piece is mutated in place only when this version created it (its
+/// owner tag is this version's id); any other piece may be reachable from
+/// a published version and is cloned first.
 ///
 /// Tombstones: DeleteWhere/UpdateWhere mark rows dead instead of erasing
 /// them, and patch only the touched posting lists — no physical compaction
@@ -137,38 +161,61 @@ std::vector<ColumnSet> ReplacementSets(const Row& replacement);
 /// `dead_fraction()` crosses its compaction threshold).
 class TableVersion {
  public:
+  static constexpr size_t kSegmentShift = 6;
+  static constexpr size_t kSegmentRows = size_t{1} << kSegmentShift;
+  static constexpr size_t kKeysPerPartition = 32;
+  static constexpr size_t kChunkRows = 256;
+
+  struct Segment;
+
   /// `order` is the sorted-dictionary for this table's interned strings —
   /// non-owning; the Database that creates the table guarantees the
   /// interner outlives every version (snapshots share ownership of it).
   /// A null order means ordered string comparisons are unsupported here.
-  explicit TableVersion(Schema schema, const StringInterner* order = nullptr)
-      : schema_(std::move(schema)), order_(order) {}
-  TableVersion(const TableVersion&) = default;
+  explicit TableVersion(Schema schema, const StringInterner* order = nullptr);
+  /// Shares every piece of `other`; the copy owns none of them yet.
+  TableVersion(const TableVersion& other);
+  TableVersion& operator=(const TableVersion&) = delete;
 
   const Schema& schema() const { return schema_; }
   /// Live (non-tombstoned) rows — the logical table size.
-  size_t row_count() const { return rows_.size() - dead_count_; }
+  size_t row_count() const { return size_ - dead_count_; }
   /// Physical slots, dead included — the bound for row(i) iteration.
-  size_t physical_size() const { return rows_.size(); }
-  const Row& row(size_t i) const { return rows_[i]; }
-  bool row_dead(size_t i) const { return dead_[i] != 0; }
+  size_t physical_size() const { return size_; }
+  const Row& row(size_t i) const {
+    return *segs_[i >> kSegmentShift]->rows[i & kSegmentMask];
+  }
+  bool row_dead(size_t i) const {
+    return segs_[i >> kSegmentShift]->Dead(i & kSegmentMask);
+  }
   size_t dead_count() const { return dead_count_; }
   /// Dead fraction of the physical row array (0 when empty).
   double dead_fraction() const {
-    return rows_.empty()
-               ? 0.0
-               : static_cast<double>(dead_count_) /
-                     static_cast<double>(rows_.size());
+    return size_ == 0 ? 0.0
+                      : static_cast<double>(dead_count_) /
+                            static_cast<double>(size_);
   }
   /// The sorted-dictionary order for string cells (null for bare tables).
   const StringInterner* order() const { return order_; }
+
+  /// The pieces, for checking what two versions share: the segment
+  /// holding physical rows [s * kSegmentRows, (s + 1) * kSegmentRows),
+  /// and the piece counts of the built indexes on `col` (0 when unbuilt).
+  size_t segment_count() const { return segs_.size(); }
+  const Segment* segment(size_t s) const { return segs_[s].get(); }
+  size_t partition_count(size_t col) const {
+    return col < hash_.size() ? hash_[col].parts.size() : 0;
+  }
+  size_t chunk_count(size_t col) const {
+    return col < ordered_.size() ? ordered_[col].chunks.size() : 0;
+  }
 
   /// Validates `row` against the schema (arity, per-column types) without
   /// inserting. Exactly the checks Insert performs.
   Status CheckRow(const Row& row) const;
 
   /// Appends a row after arity/type checking. Maintains any built indexes
-  /// (hash postings appended, ordered postings sorted-inserted).
+  /// (hash postings appended, ordered postings inserted into their chunk).
   /// Only valid while this version is exclusively owned.
   Status Insert(Row row);
 
@@ -206,8 +253,9 @@ class TableVersion {
     return AnyMatch(Predicate::Eq(col, v));
   }
 
-  /// Physically erases tombstoned rows (stable order) and rebuilds every
-  /// built index (erasure shifts row ids). The deferred half of the
+  /// Physically erases tombstoned rows (stable order) into fresh segments
+  /// — the rows themselves are shared, not copied — and bulk-rebuilds
+  /// every built index (erasure shifts row ids). The deferred half of the
   /// tombstone design; triggered by the CoW handle's threshold.
   /// Only valid while this version is exclusively owned.
   void Compact();
@@ -217,17 +265,18 @@ class TableVersion {
   Status BuildIndex(size_t col);
 
   bool HasIndex(size_t col) const {
-    return col < indexed_.size() && indexed_[col];
+    return col < hash_.size() && !hash_[col].parts.empty();
   }
 
   /// Builds (or rebuilds) an ordered index on `col`: row ids sorted by the
-  /// cell value (sorted-dictionary order for strings — requires order()).
-  /// Kept up to date by Insert/DeleteWhere/UpdateWhere.
+  /// cell value (sorted-dictionary order for strings — requires order()),
+  /// in one sort, then sliced into chunks. Kept up to date by
+  /// Insert/DeleteWhere/UpdateWhere.
   /// Only valid while this version is exclusively owned.
   Status BuildOrderedIndex(size_t col);
 
   bool HasOrderedIndex(size_t col) const {
-    return col < ordered_built_.size() && ordered_built_[col];
+    return col < ordered_.size() && ordered_[col].built;
   }
 
   /// Row ids whose `col` equals `v`. Requires HasIndex(col); returns a
@@ -235,59 +284,144 @@ class TableVersion {
   const std::vector<uint32_t>* Probe(size_t col, const ir::Value& v) const;
 
   /// Row ids of live rows satisfying `col <op> v` for an ordered op
-  /// (<, <=, >, >=), as a contiguous span of the ordered index. Requires
-  /// HasOrderedIndex(col); {nullptr, nullptr} for non-range ops.
-  std::pair<const uint32_t*, const uint32_t*> OrderedRange(
-      size_t col, ir::CompareOp op, const ir::Value& v) const;
+  /// (<, <=, >, >=), in index order: one span per chunk the range covers
+  /// (no span for an empty range). Requires HasOrderedIndex(col) and a
+  /// range op; returns no spans otherwise.
+  IdSpans OrderedRange(size_t col, ir::CompareOp op,
+                       const ir::Value& v) const;
+
+  /// A row-id segment: shared row pointers plus the tombstone bitmap.
+  struct Segment {
+    uint64_t owner = 0;
+    std::array<std::shared_ptr<const Row>, kSegmentRows> rows;
+    std::array<uint64_t, (kSegmentRows + 63) / 64> dead{};
+
+    bool Dead(size_t j) const { return (dead[j >> 6] >> (j & 63)) & 1; }
+  };
 
  private:
-  using HashIndex =
-      std::unordered_map<ir::Value, std::vector<uint32_t>, ir::ValueHash>;
+  static constexpr size_t kSegmentMask = kSegmentRows - 1;
+
+  /// One hash-index partition: (key, postings) entries sorted by key
+  /// (Value::operator<, so no interner involved).
+  struct Partition {
+    using Entry = std::pair<ir::Value, std::vector<uint32_t>>;
+    uint64_t owner = 0;
+    std::vector<Entry> entries;
+  };
+  struct HashIndex {
+    std::vector<std::shared_ptr<Partition>> parts;  // power-of-two count
+    size_t keys = 0;
+  };
+  struct Chunk {
+    uint64_t owner = 0;
+    std::vector<uint32_t> ids;  // sorted by (cell value, row id)
+    /// The cell of ids.back() and its text (string cells only): the
+    /// chunk-level search reads neither rows nor the interner.
+    ir::Value last;
+    const std::string* last_text = nullptr;
+  };
+  struct OrderedIndex {
+    bool built = false;
+    std::vector<std::shared_ptr<Chunk>> chunks;  // no chunk is empty
+  };
 
   static const std::vector<uint32_t> kEmptyPostings;
 
+  /// A fresh, empty piece owned by this version.
+  template <typename Piece>
+  std::shared_ptr<Piece> NewPiece() const;
+  /// `piece`, cloned first unless this version created it.
+  template <typename Piece>
+  Piece* Own(std::shared_ptr<Piece>& piece);
+
   /// Recomputes every built index from the current rows (after compaction
-  /// or replication replaced the row array).
+  /// replaced the row ids).
   void RebuildIndexes();
 
+  /// Spreads the hash index on `col` over `parts` partitions (a power of
+  /// two, a multiple of the current count): partition p hands the entries
+  /// whose hash now selects another partition to it — moved when this
+  /// version owns p, copied otherwise.
+  void Repartition(size_t col, size_t parts);
+
   /// Candidate row ids that could match `pred`: postings of an indexed `=`
-  /// conjunct, else the ordered-index span of an ordered conjunct; a null
-  /// span when no index applies (callers fall back to the full scan). The
+  /// conjunct, else the ordered-index spans of an ordered conjunct. False
+  /// when no index applies (callers fall back to the full scan). The
   /// shared fast path of AnyMatch/DeleteWhere/UpdateWhere.
-  std::pair<const uint32_t*, const uint32_t*> CandidateSpan(
-      const Predicate& pred) const;
+  bool CandidateSpans(const Predicate& pred, IdSpans* out) const;
 
   /// Postings of the first `=` conjunct over an indexed column, or nullptr
   /// when no conjunct can use an index.
   const std::vector<uint32_t>* EqPostings(const Predicate& pred) const;
 
+  /// The live row ids matching `pred`, in candidate order. Collected
+  /// BEFORE mutating: killing a row edits the very postings a candidate
+  /// span may point into.
+  std::vector<uint32_t> MatchingIds(const Predicate& pred) const;
+
   /// Appends an already-validated row, wiring it into every built index.
-  uint32_t AppendRow(Row row);
+  void AppendRow(std::shared_ptr<const Row> row);
 
   /// Tombstones row `id` and unlinks it from every built index.
   void KillRow(uint32_t id);
 
+  /// An ordered-index entry: a cell, its text when already resolved (a
+  /// string cell under order(); null otherwise), and its row id.
+  struct Key {
+    const ir::Value* cell;
+    const std::string* text;
+    uint32_t id;
+  };
+  /// The text of a string cell under order(), or null.
+  const std::string* TextOf(const ir::Value& cell) const {
+    return cell.is_str() && order_ != nullptr ? &order_->Name(cell.AsStr())
+                                              : nullptr;
+  }
+  /// CompareValues(*a.cell, *b.cell, order()), comparing resolved texts
+  /// directly (no interner lock) when both keys carry one.
+  static int CompareCells(const Key& a, const Key& b,
+                          const StringInterner* order);
+  /// Ordered-index order: (cell value, row id), total.
+  bool KeyLess(const Key& a, const Key& b) const {
+    int c = CompareCells(a, b, order_);
+    return c != 0 ? c < 0 : a.id < b.id;
+  }
+  /// Caches `cell` (the cell of the chunk's last id) in `chunk`.
+  void SetLast(Chunk* chunk, const ir::Value& cell) const {
+    chunk->last = cell;
+    chunk->last_text = TextOf(cell);
+  }
+  /// The first position in the ordered index on `col` whose entry
+  /// satisfies `pred(Key)` (monotone false..true over the index order),
+  /// as (chunk, offset); (chunks.size(), 0) when none does.
+  template <typename Pred>
+  std::pair<size_t, size_t> OrderedBound(size_t col, Pred pred) const;
+  void OrderedInsert(size_t col, uint32_t id);
+  void OrderedErase(size_t col, uint32_t id);
+
   Schema schema_;
   const StringInterner* order_ = nullptr;  // sorted-dictionary (may be null)
-  std::vector<Row> rows_;
-  std::vector<uint8_t> dead_;  // parallel to rows_: 1 = tombstoned
+  uint64_t id_ = 0;  // owner tag of the pieces this version created
+  std::vector<std::shared_ptr<Segment>> segs_;
+  size_t size_ = 0;  // physical rows
   size_t dead_count_ = 0;
-  std::vector<HashIndex> indexes_;  // parallel to columns once any index built
-  std::vector<bool> indexed_;       // which columns have a hash index
-  /// Ordered indexes: per column, live row ids sorted by cell value (ties
-  /// by row id, so the order is total and deterministic).
-  std::vector<std::vector<uint32_t>> ordered_;
-  std::vector<bool> ordered_built_;
+  std::vector<HashIndex> hash_;        // per column once any index is built
+  std::vector<OrderedIndex> ordered_;  // per column once any is built
 };
 
 /// A cheap handle to the current version of one table.
 ///
 /// Reads pass through to the version; mutations are copy-on-write — if the
 /// version is shared (held by a published db::Snapshot, or by any other
-/// handle), the mutation first clones it, so snapshot readers keep seeing
-/// the version they captured. While the version is exclusively owned
-/// (bootstrap fill, repeated writes between publishes) mutation is
-/// in-place, exactly like the pre-versioned Table.
+/// handle), the mutation first copies it, so snapshot readers keep seeing
+/// the version they captured. The copy shares every piece (row segments,
+/// hash partitions, ordered chunks — see TableVersion) and the mutation
+/// then copies only the pieces it changes, so a one-row write costs
+/// O(rows / piece size) pointer copies plus O(1) pieces, not O(rows).
+/// While the version is exclusively owned (bootstrap fill, repeated writes
+/// between publishes) mutation is in place, and so is every piece that
+/// version already copied.
 ///
 /// Thread model: a Table handle is single-writer (db::Storage serializes
 /// writes); concurrent readers must read via db::Snapshot, never through a
@@ -296,8 +430,8 @@ class TableVersion {
 /// Write invariants every mutation path upholds (callers — and the
 /// no-publish logic in db::Storage — rely on both):
 ///  - validate BEFORE clone: a write rejected by validation (bad row, bad
-///    predicate, bad SET clause) never copies the table and never
-///    perturbs version pointer identity for readers;
+///    predicate, bad SET clause) copies nothing and never perturbs
+///    version pointer identity for readers;
 ///  - no match, no clone: a delete/update whose predicate matches nothing
 ///    is a no-op — AnyMatch runs against the shared version first.
 class Table {
@@ -396,12 +530,18 @@ class Table {
   /// follower swaps each one in atomically. Rows are validated before any
   /// state changes, and the swap installs a fresh TableVersion rather than
   /// mutating in place, so snapshot readers keep the version they captured.
+  /// The rows go in first and every index is then built in bulk.
   Status ReplaceAllRows(std::vector<Row> rows) {
     for (const Row& r : rows) {
       Status st = v_->CheckRow(r);
       if (!st.ok()) return st;
     }
+    // Rows first, then every index in bulk (one sort per ordered index).
     auto next = std::make_shared<TableVersion>(v_->schema(), v_->order());
+    for (Row& r : rows) {
+      Status st = next->Insert(std::move(r));
+      if (!st.ok()) return st;
+    }
     for (size_t c = 0; c < v_->schema().arity(); ++c) {
       if (v_->HasIndex(c)) {
         Status st = next->BuildIndex(c);
@@ -411,10 +551,6 @@ class Table {
         Status st = next->BuildOrderedIndex(c);
         if (!st.ok()) return st;
       }
-    }
-    for (Row& r : rows) {
-      Status st = next->Insert(std::move(r));
-      if (!st.ok()) return st;
     }
     v_ = std::move(next);
     return Status::OK();
@@ -459,8 +595,9 @@ class Table {
  private:
   TableVersion* Mutable() {
     // A version is reachable by readers iff some snapshot Rep holds a
-    // strong reference, so use_count > 1 ⇒ clone before mutating. The
-    // fresh clone is invisible to readers until the next publish, so
+    // strong reference, so use_count > 1 ⇒ copy before mutating. The copy
+    // shares every piece and owns none, so each piece it changes is copied
+    // once; the copy is invisible to readers until the next publish, so
     // further mutations before that publish stay in place.
     if (v_.use_count() != 1) v_ = std::make_shared<TableVersion>(*v_);
     return v_.get();

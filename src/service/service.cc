@@ -397,7 +397,8 @@ void CoordinationService::NotifyRelationsTouched(std::vector<SymbolId> rels) {
 
 Result<Ticket> CoordinationService::SubmitPreparedLocked(
     Prepared p, const SubmitOptions& opts,
-    std::vector<PlannedMigration>* planned) {
+    std::vector<PlannedMigration>* planned,
+    std::vector<DeferredSubmit>* deferred) {
   if (opts_.max_queue_depth != 0) {
     // The single admission point, BEFORE routing commits: a rejected
     // submission must not merge groups, migrate stranded partners onto a
@@ -450,7 +451,6 @@ Result<Ticket> CoordinationService::SubmitPreparedLocked(
   ShardRunner::Op op;
   op.kind = ShardRunner::Op::Kind::kSubmit;
   op.ticket = ticket.id();
-  op.dialect = p.dialect;
   op.preference = opts.preference;
   op.ttl_ticks = opts.ttl_ticks;
   op.traced = traced;
@@ -478,17 +478,28 @@ Result<Ticket> CoordinationService::SubmitPreparedLocked(
     PlanMigrationsLocked(route->moved_relations, planned, nullptr);
   }
 
-  // Recorded just BEFORE the push so the op-queue handoff orders every
-  // shard-side event after it — record order stays causal order.
-  if (traced) {
-    RecordServiceTrace(ticket.id(), TraceEventKind::kEnqueued, route->shard,
-                       std::chrono::steady_clock::now());
+  if (deferred != nullptr) {
+    deferred->push_back({route->shard, std::move(op)});
+    return ticket;
   }
-  if (!shards_[route->shard]->Enqueue(std::move(op))) {
-    EraseInflightLocked(inflight_.find(ticket.id()));
+  if (!EnqueueSubmitLocked(route->shard, std::move(op))) {
     return Status::Cancelled("service is shutting down");
   }
   return ticket;
+}
+
+bool CoordinationService::EnqueueSubmitLocked(uint32_t shard,
+                                              ShardRunner::Op op) {
+  const TicketId ticket = op.ticket;
+  // Recorded just BEFORE the push so the op-queue handoff orders every
+  // shard-side event after it — record order stays causal order.
+  if (op.traced) {
+    RecordServiceTrace(ticket, TraceEventKind::kEnqueued, shard,
+                       std::chrono::steady_clock::now());
+  }
+  if (shards_[shard]->Enqueue(std::move(op))) return true;
+  EraseInflightLocked(inflight_.find(ticket));
+  return false;
 }
 
 Result<Ticket> CoordinationService::Submit(client::Query query,
@@ -522,12 +533,29 @@ std::vector<Result<Ticket>> CoordinationService::SubmitBatch(
   std::vector<PlannedMigration> planned;
   {
     std::lock_guard<std::mutex> lock(submit_mu_);
+    // Route every member first, then enqueue: each shard's last member is
+    // the only one without `batch_more`, so a shard never takes a flush
+    // boundary (full batch, overdue tick) between two members it holds.
+    std::vector<DeferredSubmit> deferred;
     for (Result<Prepared>& p : prepared) {
       if (!p.ok()) {
         out.push_back(p.status());
         continue;
       }
-      out.push_back(SubmitPreparedLocked(std::move(*p), opts, &planned));
+      size_t before = deferred.size();
+      out.push_back(
+          SubmitPreparedLocked(std::move(*p), opts, &planned, &deferred));
+      if (deferred.size() > before) deferred.back().result = out.size() - 1;
+    }
+    std::vector<bool> later_on_shard(shards_.size(), false);
+    for (size_t i = deferred.size(); i-- > 0;) {
+      deferred[i].op.batch_more = later_on_shard[deferred[i].shard];
+      later_on_shard[deferred[i].shard] = true;
+    }
+    for (DeferredSubmit& d : deferred) {
+      if (!EnqueueSubmitLocked(d.shard, std::move(d.op))) {
+        out[d.result] = Status::Cancelled("service is shutting down");
+      }
     }
   }
   EnqueuePlannedMigrations(std::move(planned));
@@ -848,7 +876,6 @@ void CoordinationService::OnShardEvent(ShardRunner::Event ev) {
         op.ticket = ev.ticket;
         // Re-submit the canonical program regardless of the input dialect
         // (the winning shard never re-parses or re-translates).
-        op.dialect = entry.dialect;
         op.program = entry.program;
         op.preference = entry.preference;
         op.ttl_ticks = remaining;

@@ -444,6 +444,14 @@ class CoordinationService : public CoordinationInterface {
     TicketId ticket = 0;
   };
 
+  /// A routed submit op that SubmitBatch holds back until every member
+  /// is routed (see SubmitPreparedLocked).
+  struct DeferredSubmit {
+    uint32_t shard = 0;
+    ShardRunner::Op op;
+    size_t result = 0;  ///< index of the query in SubmitBatch's results
+  };
+
   /// A dialect-normalized query, ready to route: the canonical program
   /// plus the translated entangled-relation fingerprint.
   struct Prepared {
@@ -464,9 +472,18 @@ class CoordinationService : public CoordinationInterface {
   Result<PlanCache::Plan> PreparePlan(const client::Query& query);
   /// Routes, records and enqueues one prepared query. Caller holds
   /// submit_mu_ and enqueues `*planned` after releasing it (see
-  /// EnqueuePlannedMigrations).
-  Result<Ticket> SubmitPreparedLocked(Prepared p, const SubmitOptions& opts,
-                                      std::vector<PlannedMigration>* planned);
+  /// EnqueuePlannedMigrations). With `deferred`, the submit op is appended
+  /// there instead of enqueued; the caller enqueues it (EnqueueSubmitLocked)
+  /// before releasing submit_mu_.
+  Result<Ticket> SubmitPreparedLocked(
+      Prepared p, const SubmitOptions& opts,
+      std::vector<PlannedMigration>* planned,
+      std::vector<DeferredSubmit>* deferred = nullptr);
+
+  /// Records the Enqueued trace event and pushes a submit op (caller holds
+  /// submit_mu_). False when the shard has stopped; the in-flight entry
+  /// is erased then.
+  bool EnqueueSubmitLocked(uint32_t shard, ShardRunner::Op op);
 
   /// Records one service-side trace event (client thread, under
   /// submit_mu_): Submitted/Routed/Enqueued carry no shard of their own.

@@ -5,9 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "ir/parser.h"
-#include "sql/translator.h"
-
 namespace eq::service {
 
 ShardRunner::ShardRunner(ShardOptions opts, EventFn event_fn)
@@ -53,7 +50,7 @@ void ShardRunner::Stop() {
 }
 
 void ShardRunner::Run() {
-  // Share the storage interner so table rows and shard-parsed query
+  // Share the storage interner so table rows and shard-instantiated query
   // constants agree on SymbolIds; adopt the bootstrap context's catalog
   // metadata (ANSWER relations, arities) instead of re-running the
   // bootstrap — N shards, one bootstrap, one copy of every table.
@@ -123,7 +120,8 @@ void ShardRunner::Dispatch(Op& op) {
   switch (op.kind) {
     case Op::Kind::kSubmit:
       HandleSubmit(op);
-      MaybeFlush(/*force=*/false);
+      batch_open_ = op.batch_more;
+      if (!batch_open_) MaybeFlush(/*force=*/false);
       break;
     case Op::Kind::kCancel: {
       ir::QueryId q = QueryOfTicket(op.ticket);
@@ -159,7 +157,7 @@ void ShardRunner::Dispatch(Op& op) {
         opts_.storage->ReportReadVersion(opts_.shard_id,
                                          engine_->snapshot().version());
       }
-      MaybeFlush(/*force=*/false);
+      if (!batch_open_) MaybeFlush(/*force=*/false);
       break;
     case Op::Kind::kFlush:
       MaybeFlush(/*force=*/true);
@@ -312,22 +310,22 @@ void ShardRunner::HandleSubmit(Op& op) {
     if (op.traced) RecordTrace(op.ticket, TraceEventKind::kMigratedIn);
   }
 
-  auto parsed = RealizeQuery(op);
-  if (!parsed.ok()) {
-    if (parsed.status().code() == StatusCode::kParseError) {
+  auto realized = op.program->Instantiate(ctx_.get());
+  if (!realized.ok()) {
+    if (realized.status().code() == StatusCode::kParseError) {
       stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
     }
     stats_.failed.fetch_add(1, std::memory_order_relaxed);
     if (op.traced) {
       RecordTrace(op.ticket, TraceEventKind::kResolved,
                   static_cast<uint64_t>(engine::QueryOutcome::Via::kSubmit),
-                  parsed.status().code());
+                  realized.status().code());
     }
     Event ev;
     ev.kind = Event::Kind::kResolved;
     ev.ticket = op.ticket;
     ev.outcome.state = ServiceOutcome::State::kFailed;
-    ev.outcome.status = parsed.status();
+    ev.outcome.status = realized.status();
     event_fn_(std::move(ev));
     return;
   }
@@ -349,7 +347,7 @@ void ShardRunner::HandleSubmit(Op& op) {
   current_submit_ = info;
   current_submit_active_ = true;
   if (op.traced) RecordTrace(op.ticket, TraceEventKind::kEngineSubmit);
-  auto id = engine_->Submit(std::move(*parsed), op.ttl_ticks);
+  auto id = engine_->Submit(std::move(*realized), op.ttl_ticks);
   current_submit_active_ = false;
 
   if (!id.ok()) {
@@ -399,16 +397,6 @@ void ShardRunner::HandleSubmit(Op& op) {
   } else {
     pref_of_qid_.erase(*id);  // resolved inside Submit
   }
-}
-
-Result<ir::EntangledQuery> ShardRunner::RealizeQuery(const Op& op) {
-  if (op.program) return op.program->Instantiate(ctx_.get());
-  if (op.dialect == client::Dialect::kSql) {
-    sql::Translator translator(ctx_.get(), engine_->snapshot());
-    return translator.TranslateSql(op.text);
-  }
-  ir::Parser parser(ctx_.get());
-  return parser.ParseQuery(op.text);
 }
 
 void ShardRunner::EnsurePreferenceInstalled() {

@@ -134,7 +134,7 @@ class ShardRunner {
  public:
   struct Op {
     enum class Kind : uint8_t {
-      kSubmit,   ///< parse text, hand to engine
+      kSubmit,   ///< instantiate the program, hand to engine
       kCancel,   ///< client withdrawal; resolves the ticket as Cancelled
       kMigrate,  ///< silent extraction; emits kMigratedOut, no resolution
       kTick,     ///< advance the engine's logical clock
@@ -149,13 +149,13 @@ class ShardRunner {
     };
     Kind kind = Kind::kSubmit;
     TicketId ticket = 0;
-    /// kSubmit payload: either `program` (canonical portable form — builder
-    /// submissions and all migration re-submissions) or `text` interpreted
-    /// per `dialect` (kIr: parsed by ir::Parser; kSql: translated by the
-    /// shard's own sql::Translator against its private catalog).
-    client::Dialect dialect = client::Dialect::kIr;
-    std::string text;
+    /// kSubmit payload: the canonical portable program every dialect
+    /// normalizes to at the edge.
     std::shared_ptr<const client::PortableQuery> program;
+    /// kSubmit from SubmitBatch: another member of the same batch follows
+    /// on this shard, so no non-forced flush runs until it is dispatched
+    /// (a batch promises its members no flush boundary between them).
+    bool batch_more = false;
     /// Per-query grounding preference (kSubmit), summed with the
     /// service-wide preference function.
     client::PreferenceSpec preference;
@@ -256,10 +256,6 @@ class ShardRunner {
   /// counters. Shared by the kWriteNotify dispatch and the
   /// registration-race self-wake in HandleSubmit.
   void DoWriteWakeup(const std::vector<SymbolId>& rels);
-  /// Builds the ir::EntangledQuery for a submit op against this shard's
-  /// private context: instantiate the portable program, translate SQL, or
-  /// parse IR text.
-  Result<ir::EntangledQuery> RealizeQuery(const Op& op);
   /// Installs the composite engine preference (service-wide fn + per-query
   /// specs) the first time it is needed.
   void EnsurePreferenceInstalled();
@@ -317,6 +313,9 @@ class ShardRunner {
   /// Ticket being silently extracted by a kMigrate op, if any.
   TicketId migrating_ = 0;
   size_t submitted_since_flush_ = 0;
+  /// A SubmitBatch is half dispatched here: its last member on this shard
+  /// has not arrived yet, so ticks and submits take no flush boundary.
+  bool batch_open_ = false;
   uint64_t tick_ = 0;
   uint64_t last_flush_tick_ = 0;
 

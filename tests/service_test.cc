@@ -515,6 +515,36 @@ TEST(CoordinationServiceTest, ConcurrentSubmitCancelAndTicker) {
   EXPECT_GE(m.answered, 2u * kThreads * kPairsPerThread);
 }
 
+// A SubmitBatch group must reach the engine whole: a shard idle past
+// max_delay_ticks used to flush on the batch's first member alone and
+// fail it for want of partners. AdvanceTicks makes every shard overdue
+// before each batch, and the live ticker interleaves ticks with members.
+TEST(CoordinationServiceTest, SubmitBatchPairsSurviveOverdueIdleShard) {
+  ServiceOptions o = Opts(2);  // set-at-a-time, max_delay_ticks = 1
+  o.tick_interval = std::chrono::milliseconds(1);
+  CoordinationService svc(o);
+
+  constexpr int kPairs = 200;
+  std::vector<Ticket> tickets;
+  for (int i = 0; i < kPairs; ++i) {
+    svc.AdvanceTicks(1);
+    auto [qa, qb] = PairFor("B" + std::to_string(i), i);
+    auto batch = svc.SubmitBatch({client::Query::Ir(qa), client::Query::Ir(qb)});
+    ASSERT_EQ(batch.size(), 2u);
+    for (auto& t : batch) {
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      tickets.push_back(*t);
+    }
+  }
+  ASSERT_TRUE(svc.Drain());
+  for (const Ticket& t : tickets) {
+    ASSERT_TRUE(t.WaitFor(std::chrono::milliseconds(10000)));
+    EXPECT_EQ(t.outcome().state, ServiceOutcome::State::kAnswered)
+        << t.outcome().status.ToString();
+  }
+  EXPECT_EQ(svc.Metrics().answered, 2u * kPairs);
+}
+
 // ----------------------------------------- shared snapshots & writes ----
 
 TEST(SharedSnapshotTest, BootstrapRunsOnceAndShardsShareTableVersions) {

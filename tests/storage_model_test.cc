@@ -21,10 +21,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -270,11 +272,14 @@ TEST_P(StorageModelTest, RandomOpsMatchReferenceModel) {
 
       ASSERT_TRUE(table->HasOrderedIndex(t.col));
       ir::Value bound = t.col == 0 ? S(t.sval) : ir::Value::Int(t.nval);
-      auto [b, e] = table->OrderedRange(t.col, t.op, bound);
-      ASSERT_EQ(static_cast<size_t>(e - b), want);
-      for (const uint32_t* p = b; p != e; ++p) {
-        ASSERT_FALSE(table->row_dead(*p));
+      size_t spanned = 0;
+      for (auto [b, e] : table->OrderedRange(t.col, t.op, bound)) {
+        spanned += static_cast<size_t>(e - b);
+        for (const uint32_t* p = b; p != e; ++p) {
+          ASSERT_FALSE(table->row_dead(*p));
+        }
       }
+      ASSERT_EQ(spanned, want);
     } else if (roll < 90) {
       // ---- snapshot hold (verify + release the oldest when full)
       if (held.size() >= 3) {
@@ -328,6 +333,204 @@ TEST_P(StorageModelTest, RandomOpsMatchReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StorageModelTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// ------------------------------------------------ structural sharing ---
+//
+// The same model on a table grown from 0 to ~5,000 rows, so versions span
+// many row segments, hash partitions and ordered chunks and every write
+// lands in pieces shared with held snapshots. Each held snapshot is
+// re-checked after later writes — rows, postings and range spans (which
+// cross chunk boundaries) — including across compactions that rebuild
+// the pieces of a successor. A reader thread walks the current version
+// concurrently with the writes: a piece mutated in place after a publish
+// is a data race the TSan leg reports.
+
+constexpr size_t kLargeRows = EQ_MODEL_SANITIZED ? 2500 : 5000;
+
+std::string LargeName(Rng& rng) {
+  size_t len = 1 + rng.Below(4);
+  std::string s;
+  for (size_t i = 0; i < len; ++i) {
+    s.push_back(static_cast<char>('a' + rng.Below(8)));
+  }
+  return s;
+}
+
+/// Checks `v` against `canon`: rows, the postings of a few keys, and
+/// ordered range spans on both columns.
+void CheckVersion(const TableVersion& v, const Canon& canon,
+                  const StringInterner& interner, Rng& rng) {
+  ASSERT_EQ(CanonOfTable(v, interner), canon);
+  for (int k = 0; k < 3; ++k) {
+    std::string key = LargeName(rng);
+    SymbolId sym = interner.Lookup(key);
+    size_t want = 0;
+    for (const auto& [s, n] : canon) want += s == key ? 1 : 0;
+    if (sym == kInvalidSymbol) {
+      ASSERT_EQ(want, 0u);
+      continue;
+    }
+    const std::vector<uint32_t>* ids = v.Probe(0, ir::Value::Str(sym));
+    ASSERT_EQ(ids->size(), want) << "postings of '" << key << "'";
+    for (uint32_t id : *ids) {
+      ASSERT_FALSE(v.row_dead(id));
+      ASSERT_EQ(v.row(id)[0], ir::Value::Str(sym));
+    }
+    int64_t n = static_cast<int64_t>(rng.Below(2000));
+    want = 0;
+    for (const auto& [s, m] : canon) want += m == n ? 1 : 0;
+    ASSERT_EQ(v.Probe(1, ir::Value::Int(n))->size(), want);
+  }
+  const ir::CompareOp ops[] = {ir::CompareOp::kLt, ir::CompareOp::kLe,
+                               ir::CompareOp::kGt, ir::CompareOp::kGe};
+  for (ir::CompareOp op : ops) {
+    int64_t bound = static_cast<int64_t>(rng.Below(2000));
+    size_t want = 0;
+    for (const auto& [s, n] : canon) {
+      want += CmpHolds(n < bound ? -1 : (n > bound ? 1 : 0), op) ? 1 : 0;
+    }
+    size_t got = 0;
+    int64_t prev = INT64_MIN;
+    for (auto [b, e] : v.OrderedRange(1, op, ir::Value::Int(bound))) {
+      for (const uint32_t* p = b; p != e; ++p) {
+        ASSERT_FALSE(v.row_dead(*p));
+        int64_t n = v.row(*p)[1].AsInt();
+        ASSERT_TRUE(CmpHolds(n < bound ? -1 : (n > bound ? 1 : 0), op));
+        ASSERT_LE(prev, n) << "range spans out of order";
+        prev = n;
+        ++got;
+      }
+    }
+    ASSERT_EQ(got, want);
+  }
+}
+
+class StorageSharingModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StorageSharingModelTest, HeldSnapshotsSurviveWritesIntoSharedPieces) {
+  const uint64_t seed = GetParam();
+  SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+  Rng rng(seed);
+
+  auto interner = std::make_shared<StringInterner>();
+  Storage storage(interner);
+  ASSERT_TRUE(storage.mutable_db()
+                  ->CreateTable("L", {{"s", ir::ValueType::kString},
+                                      {"n", ir::ValueType::kInt}})
+                  .ok());
+  ASSERT_TRUE(storage.mutable_db()->GetTable("L")->BuildIndex(0).ok());
+  ASSERT_TRUE(storage.mutable_db()->GetTable("L")->BuildIndex(1).ok());
+  storage.Publish();
+  auto S = [&](const std::string& s) {
+    return ir::Value::Str(interner->Intern(s));
+  };
+
+  // Concurrent reader: every index of the current version must agree
+  // with its rows while the writer clones the pieces it shares.
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> reads{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      Snapshot snap = storage.Current();
+      const TableVersion* v = snap.GetTable("L");
+      size_t live = 0;
+      for (size_t i = 0; i < v->physical_size(); ++i) live += !v->row_dead(i);
+      size_t ranged = 0;
+      for (auto [b, e] :
+           v->OrderedRange(1, ir::CompareOp::kGe, ir::Value::Int(0))) {
+        ranged += static_cast<size_t>(e - b);
+      }
+      if (live != v->row_count() || ranged != live) {
+        ADD_FAILURE() << "reader saw " << live << " live rows, "
+                      << v->row_count() << " counted, " << ranged
+                      << " in the ordered index";
+        return;
+      }
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  std::vector<RefRow> ref;
+  std::vector<std::pair<Snapshot, Canon>> held;
+  bool saw_many_pieces = false;
+  auto check_held = [&] {
+    for (auto& [snap, canon] : held) {
+      SCOPED_TRACE(::testing::Message() << "held v" << snap.version());
+      CheckVersion(*snap.GetTable("L"), canon, *interner, rng);
+    }
+  };
+
+  for (size_t step = 0; ref.size() < kLargeRows || step < 80; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step=" << step);
+    uint64_t roll = rng.Below(100);
+    if (ref.size() < kLargeRows || roll < 40) {
+      // ---- insert batch: one publish, several rows into shared pieces
+      std::vector<Storage::TableWrite> batch;
+      for (size_t i = 0; i < 100; ++i) {
+        RefRow r{LargeName(rng), static_cast<int64_t>(rng.Below(2000))};
+        batch.push_back(Storage::TableWrite::Insert("L", {S(r.s), ir::Value::Int(r.n)}));
+        ref.push_back(std::move(r));
+      }
+      ASSERT_TRUE(storage.ApplyBatch(batch).ok());
+    } else if (roll < 60) {
+      // ---- point update: one row moves to a new key
+      int64_t n = static_cast<int64_t>(rng.Below(2000));
+      RefRow assign{LargeName(rng), static_cast<int64_t>(rng.Below(2000))};
+      size_t updated = 0;
+      ASSERT_TRUE(storage
+                      .ApplyUpdate("L", Predicate::Eq(1, ir::Value::Int(n)),
+                                   {{0, S(assign.s)}, {1, ir::Value::Int(assign.n)}},
+                                   &updated)
+                      .ok());
+      size_t want = 0;
+      for (RefRow& r : ref) {
+        if (r.n != n) continue;
+        r = assign;
+        ++want;
+      }
+      ASSERT_EQ(updated, want);
+    } else if (roll < 80) {
+      // ---- range delete: narrow, or wide enough to force compaction
+      int64_t lo = static_cast<int64_t>(rng.Below(2000));
+      int64_t width = roll < 75 ? 20 : 800;
+      Predicate pred;
+      pred.And(1, ir::CompareOp::kGe, ir::Value::Int(lo))
+          .And(1, ir::CompareOp::kLt, ir::Value::Int(lo + width));
+      size_t removed = 0;
+      ASSERT_TRUE(storage.ApplyDelete("L", pred, &removed).ok());
+      size_t before = ref.size();
+      ref.erase(std::remove_if(ref.begin(), ref.end(),
+                               [&](const RefRow& r) {
+                                 return r.n >= lo && r.n < lo + width;
+                               }),
+                ref.end());
+      ASSERT_EQ(removed, before - ref.size());
+    } else {
+      // ---- hold a snapshot (release the oldest when full)
+      if (held.size() >= 3) held.erase(held.begin());
+      held.emplace_back(storage.Current(), CanonOfRef(ref));
+    }
+
+    const TableVersion& cur = *storage.Current().GetTable("L");
+    saw_many_pieces = saw_many_pieces ||
+                      (cur.segment_count() > 16 && cur.partition_count(0) > 16 &&
+                       cur.chunk_count(1) > 8);
+    if (step % 8 == 0) {
+      ASSERT_EQ(CanonOfTable(cur, *interner), CanonOfRef(ref));
+      check_held();
+    }
+  }
+  check_held();
+  CheckVersion(*storage.Current().GetTable("L"), CanonOfRef(ref), *interner,
+               rng);
+  stop.store(true);
+  reader.join();
+  EXPECT_TRUE(saw_many_pieces);
+  EXPECT_GT(reads.load(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StorageSharingModelTest,
+                         ::testing::Range<uint64_t>(1, 4));
 
 }  // namespace
 }  // namespace eq::db

@@ -25,6 +25,14 @@ namespace {
 
 Row IntRow(int64_t a) { return Row{ir::Value::Int(a)}; }
 
+/// The row ids of an ordered-index range probe, spans concatenated.
+std::vector<uint32_t> RangeIds(const TableVersion& v, size_t col,
+                               ir::CompareOp op, const ir::Value& bound) {
+  std::vector<uint32_t> ids;
+  for (auto [b, e] : v.OrderedRange(col, op, bound)) ids.insert(ids.end(), b, e);
+  return ids;
+}
+
 /// Flights(fno INT, dest STRING) with three Paris rows, plus an untouched
 /// Airlines table to observe copy granularity.
 void FillFlights(ir::QueryContext* ctx, Database* db) {
@@ -152,6 +160,68 @@ TEST(TableCowTest, UpdateWhereReplacesWholeRowsAndChecksTheReplacement) {
   EXPECT_EQ(t.Probe(1, oslo)->size(), 2u);
   // The published reader still sees the pre-update rows (CoW isolation).
   EXPECT_EQ(reader->Probe(1, paris)->size(), 2u);
+}
+
+// ------------------------------------------------ structural sharing ---
+
+TEST(StructuralSharingTest, OneRowUpdateCopiesOneSegmentAndKeepsThePredecessor) {
+  ir::QueryContext ctx;
+  Database db(&ctx.interner());
+  ASSERT_TRUE(db.CreateTable("T", {{"id", ir::ValueType::kInt},
+                                   {"tag", ir::ValueType::kString}})
+                  .ok());
+  Table* t = db.GetTable("T");
+  ASSERT_TRUE(t->BuildIndex(0).ok());
+  ASSERT_TRUE(t->BuildIndex(1).ok());
+  constexpr int64_t kRows = 4096;
+  for (int64_t id = 0; id < kRows; ++id) {
+    ASSERT_TRUE(t->Insert({ir::Value::Int(id),
+                           ctx.StrValue("f" + std::to_string(id))})
+                    .ok());
+  }
+  std::shared_ptr<const TableVersion> before = t->version();
+  ASSERT_GT(before->segment_count(), 32u);
+  ASSERT_GT(before->partition_count(0), 32u);
+  ASSERT_GT(before->chunk_count(1), 8u);
+
+  size_t updated = 0;
+  ASSERT_TRUE(t->UpdateWhere(Predicate::Eq(0, ir::Value::Int(1234)),
+                             {{1, ctx.StrValue("moved")}}, &updated)
+                  .ok());
+  ASSERT_EQ(updated, 1u);
+  std::shared_ptr<const TableVersion> after = t->version();
+  ASSERT_NE(before.get(), after.get());
+
+  // Only the segment holding row 1234 (tombstoned) was copied; the updated
+  // row went into a fresh tail segment.
+  size_t copied = 0;
+  for (size_t s = 0; s < before->segment_count(); ++s) {
+    if (before->segment(s) != after->segment(s)) ++copied;
+  }
+  EXPECT_EQ(copied, 1u);
+  EXPECT_EQ(after->segment_count(), before->segment_count() + 1);
+  // Row contents are shared, not copied, even inside the copied segment.
+  EXPECT_EQ(&before->row(1233), &after->row(1233));
+
+  // The predecessor still reads its own rows, postings and ranges.
+  EXPECT_EQ(before->row_count(), static_cast<size_t>(kRows));
+  EXPECT_FALSE(before->row_dead(1234));
+  EXPECT_EQ(before->row(1234)[1], ctx.StrValue("f1234"));
+  EXPECT_EQ(before->Probe(1, ctx.StrValue("moved"))->size(), 0u);
+  ASSERT_EQ(before->Probe(0, ir::Value::Int(1234))->size(), 1u);
+  EXPECT_EQ(before->Probe(0, ir::Value::Int(1234))->front(), 1234u);
+  EXPECT_EQ(RangeIds(*before, 0, ir::CompareOp::kGe, ir::Value::Int(0)).size(),
+            static_cast<size_t>(kRows));
+  // The successor sees the update through every index.
+  EXPECT_TRUE(after->row_dead(1234));
+  const auto* moved = after->Probe(1, ctx.StrValue("moved"));
+  ASSERT_EQ(moved->size(), 1u);
+  EXPECT_EQ(after->row(moved->front())[0], ir::Value::Int(1234));
+  EXPECT_EQ(after->Probe(1, ctx.StrValue("f1234"))->size(), 0u);
+  std::vector<uint32_t> all =
+      RangeIds(*after, 0, ir::CompareOp::kGe, ir::Value::Int(0));
+  EXPECT_EQ(all.size(), static_cast<size_t>(kRows));
+  EXPECT_EQ(std::count(all.begin(), all.end(), 1234u), 0);
 }
 
 // ------------------------------------------------ write predicates ------
@@ -899,28 +969,28 @@ TEST(OrderedIndexPropertyTest, RangesAgreeWithScanOracle) {
       auto v = table->version();
       for (ir::CompareOp op : ops) {
         std::string sb = rand_name();
-        auto [b, e] = v->OrderedRange(0, op, ir::Value::Str(ctx.Intern(sb)));
+        std::vector<uint32_t> ids =
+            RangeIds(*v, 0, op, ir::Value::Str(ctx.Intern(sb)));
         size_t want = 0;
         for (const auto& [name, n] : ref) {
           (void)n;
           if (cmp_ok(name.compare(sb), op)) ++want;
         }
-        ASSERT_EQ(static_cast<size_t>(e - b), want)
+        ASSERT_EQ(ids.size(), want)
             << when << " seed=" << seed << " string bound=" << sb;
-        for (const uint32_t* p = b; p != e; ++p) {
-          ASSERT_FALSE(v->row_dead(*p));
-          std::string name(ctx.interner().Name(v->row(*p)[0].AsStr()));
+        for (uint32_t id : ids) {
+          ASSERT_FALSE(v->row_dead(id));
+          std::string name(ctx.interner().Name(v->row(id)[0].AsStr()));
           ASSERT_TRUE(cmp_ok(name.compare(sb), op));
         }
         auto nb = static_cast<int64_t>(rng.Below(50));
-        auto [ib, ie] = v->OrderedRange(1, op, ir::Value::Int(nb));
         want = 0;
         for (const auto& [name, n] : ref) {
           (void)name;
           int c = n < nb ? -1 : (n > nb ? 1 : 0);
           if (cmp_ok(c, op)) ++want;
         }
-        ASSERT_EQ(static_cast<size_t>(ie - ib), want)
+        ASSERT_EQ(RangeIds(*v, 1, op, ir::Value::Int(nb)).size(), want)
             << when << " seed=" << seed << " int bound=" << nb;
       }
     };
