@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -25,6 +26,10 @@ namespace eq::bench {
 ///                 so a CI bench run is reproducible bit-for-bit; sections
 ///                 that sample randomness echo it into their JSON rows
 ///   --json=PATH   also write machine-readable results (see JsonReporter)
+///   --help        print the usage and exit 0
+///
+/// An unknown flag prints the usage and exits 2, so a typo never runs the
+/// whole suite with defaults.
 struct BenchFlags {
   bool full = false;
   int runs = 3;
@@ -33,11 +38,18 @@ struct BenchFlags {
   uint64_t seed = 42;
   std::string json_path;
 
-  static BenchFlags Parse(int argc, char** argv) {
+  /// Parses argv. `extra` claims a bench's own flags (true when it consumed
+  /// the argument) and `extra_usage` lists them in the usage text.
+  static BenchFlags Parse(
+      int argc, char** argv, const char* extra_usage = "",
+      const std::function<bool(const char*)>& extra = nullptr) {
     BenchFlags f;
     for (int i = 1; i < argc; ++i) {
       const char* a = argv[i];
-      if (std::strcmp(a, "--full") == 0) {
+      if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
+        PrintUsage(stdout, argv[0], extra_usage);
+        std::exit(0);
+      } else if (std::strcmp(a, "--full") == 0) {
         f.full = true;
       } else if (std::strncmp(a, "--runs=", 7) == 0) {
         f.runs = std::atoi(a + 7);
@@ -47,12 +59,29 @@ struct BenchFlags {
         f.seed = static_cast<uint64_t>(std::atoll(a + 7));
       } else if (std::strncmp(a, "--json=", 7) == 0) {
         f.json_path = a + 7;
-      } else {
+      } else if (!extra || !extra(a)) {
         std::fprintf(stderr, "unknown flag: %s\n", a);
+        PrintUsage(stderr, argv[0], extra_usage);
+        std::exit(2);
       }
     }
     if (f.runs < 1) f.runs = 1;
     return f;
+  }
+
+  static void PrintUsage(std::FILE* out, const char* prog,
+                         const char* extra_usage) {
+    std::fprintf(out,
+                 "usage: %s [flags]\n"
+                 "%s"
+                 "  --full        paper-scale sweeps (slower)\n"
+                 "  --runs=N      repetitions per point (default 3)\n"
+                 "  --users=N     social-graph size (default 82168)\n"
+                 "  --seed=N      RNG seed for every randomized section "
+                 "(default 42)\n"
+                 "  --json=PATH   also write the results as JSON rows\n"
+                 "  --help        print this usage and exit\n",
+                 prog, extra_usage);
   }
 };
 

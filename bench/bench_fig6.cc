@@ -5,7 +5,7 @@
 // the incremental engine and reports total evaluation time; all curves are
 // linear in the number of queries (§5.3.1–§5.3.2).
 //
-// Deviations (documented in EXPERIMENTS.md): the paper's random workload
+// Deviations (documented in docs/EXPERIMENTS.md): the paper's random workload
 // sends every pair to the same destination (ITH), which makes wildcard
 // postconditions ambiguous under the §3.1.1 safety condition as soon as two
 // unpaired queries wait; our engine enforces safety at admission, so this

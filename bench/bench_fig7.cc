@@ -11,7 +11,7 @@
 // so this bench reports BOTH the indexed evaluation (our production path)
 // and a deliberately degraded configuration — no indexes, no join
 // reordering, bounded scan budget — that reproduces the blow-up shape of
-// the paper's MySQL 4.1 substrate (see DESIGN.md §4 substitutions).
+// the paper's MySQL 4.1 substrate (see docs/EXPERIMENTS.md).
 
 #include "db/database.h"
 #include <cstdio>

@@ -697,32 +697,74 @@ ChurnResult RunStorageChurn(bool gc_on, bool deferred, size_t rows,
   return out;
 }
 
+/// One bulk load of a two-STRING-column table with both columns indexed:
+/// the rows (`rows` / 4 distinct names per column, interned beforehand)
+/// go in with the indexes declared before them or after them, then the
+/// first snapshot shares the table (building its ordered indexes).
+struct BulkLoadTimes {
+  double load_ms = 0;
+  double share_ms = 0;
+};
+
+BulkLoadTimes TimeBulkLoad(size_t rows, bool index_first, uint64_t seed) {
+  auto interner = std::make_shared<StringInterner>();
+  db::Database db(interner);
+  db.CreateTable("L", {{"a", ir::ValueType::kString},
+                       {"b", ir::ValueType::kString}});
+  db::Table* table = db.GetTable("L");
+  std::vector<ir::Value> names;
+  for (size_t i = 0; i < rows / 4; ++i) {
+    names.push_back(ir::Value::Str(interner->Intern("u" + std::to_string(i))));
+  }
+  Rng rng(seed);
+  std::vector<db::Row> data;
+  data.reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    data.push_back({names[rng.Below(names.size())],
+                    names[rng.Below(names.size())]});
+  }
+  BulkLoadTimes out;
+  Stopwatch sw;
+  auto declare = [&] {
+    table->BuildIndex(0);
+    table->BuildIndex(1);
+  };
+  if (index_first) declare();
+  for (db::Row& r : data) table->Insert(std::move(r));
+  if (!index_first) declare();
+  out.load_ms = sw.ElapsedMillis();
+  sw.Restart();
+  db::Snapshot first = db.snapshot();
+  out.share_ms = sw.ElapsedMillis();
+  return out;
+}
+
 }  // namespace
 }  // namespace eq::bench
 
 int main(int argc, char** argv) {
   using namespace eq::bench;
-  // Split off the service-specific flags before the shared parse (which
-  // warns on flags it does not know).
   size_t pairs_arg = 0;
   std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
-  std::vector<char*> shared_args = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--pairs=", 8) == 0) {
-      pairs_arg = static_cast<size_t>(std::atoll(argv[i] + 8));
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shard_counts.clear();
-      for (const char* p = argv[i] + 9; *p;) {
-        shard_counts.push_back(static_cast<uint32_t>(std::atoi(p)));
-        while (*p && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
-    } else {
-      shared_args.push_back(argv[i]);
-    }
-  }
-  BenchFlags flags = BenchFlags::Parse(static_cast<int>(shared_args.size()),
-                                       shared_args.data());
+  BenchFlags flags = BenchFlags::Parse(
+      argc, argv,
+      "  --pairs=N     coordinating pairs per run (default 2000; --full "
+      "10000)\n"
+      "  --shards=A,B  shard counts to sweep (default 1,2,4,8)\n",
+      [&](const char* a) {
+        if (std::strncmp(a, "--pairs=", 8) == 0) {
+          pairs_arg = static_cast<size_t>(std::atoll(a + 8));
+          return true;
+        }
+        if (std::strncmp(a, "--shards=", 9) != 0) return false;
+        shard_counts.clear();
+        for (const char* p = a + 9; *p;) {
+          shard_counts.push_back(static_cast<uint32_t>(std::atoi(p)));
+          while (*p && *p != ',') ++p;
+          if (*p == ',') ++p;
+        }
+        return !shard_counts.empty();
+      });
   size_t pairs = pairs_arg ? pairs_arg : (flags.full ? 10000 : 2000);
 
   std::printf("# service throughput vs shard count (%zu pairs, runs=%d)\n",
@@ -1158,6 +1200,44 @@ int main(int argc, char** argv) {
         "# pieces it touches (one row segment, one hash partition, one\n"
         "# ordered chunk) plus the piece directories, so us_per_op grows\n"
         "# with rows / piece size (pointer copies), not with every row.\n");
+  }
+
+  // Bulk load: the bootstrap path of every service. Each ordered index is
+  // built once, at the first share, so loading with the indexes declared
+  // first must cost about what loading the rows first does, and us_per_op
+  // (per row) must not grow with the table.
+  {
+    PrintHeader("bulk_load: two STRING columns, both indexed, then share",
+                "order          rows   load_ms  share_ms  us_per_op");
+    for (size_t rows : {20000, 80000}) {
+      for (bool index_first : {true, false}) {
+        BulkLoadTimes last;
+        double share_sum = 0;
+        RunStats stats = Repeat(flags.runs, [&] {
+          last = TimeBulkLoad(rows, index_first, flags.seed);
+          share_sum += last.share_ms;
+          return last.load_ms + last.share_ms;
+        });
+        const double share_ms = share_sum / flags.runs;
+        const double us_per_op =
+            stats.mean_ms * 1000.0 / static_cast<double>(rows);
+        const char* order = index_first ? "index-first" : "rows-first";
+        std::printf("%-11s %7zu %9.2f %9.2f %10.3f\n", order, rows,
+                    stats.mean_ms - share_ms, share_ms, us_per_op);
+        auto& row = json.NewRow("bulk_load");
+        row.Set("order", std::string(order))
+            .Set("rows", static_cast<double>(rows))
+            .Set("total_ms", stats.mean_ms)
+            .Set("stddev_ms", stats.stddev_ms)
+            .Set("share_ms", share_ms)
+            .Set("us_per_op", us_per_op)
+            .Set("seed", static_cast<double>(flags.seed));
+      }
+    }
+    std::printf(
+        "# us_per_op is load + first share per row: it should stay about\n"
+        "# flat from 20k to 80k rows and match between the two orders.\n"
+        "# share_ms is the bulk build of both ordered indexes.\n");
   }
 
   std::printf(

@@ -1,6 +1,7 @@
 #include "cluster/node.h"
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <utility>
 
@@ -611,16 +612,51 @@ Result<std::unique_ptr<ClusterNode>> ClusterNode::Start(ClusterOptions opts) {
 ClusterNode::~ClusterNode() { Stop(); }
 
 void ClusterNode::AcceptLoop() {
+  int backoff_ms = 1;
   for (;;) {
     auto sock = listener_.Accept();
-    if (!sock.ok()) return;  // Shutdown() — orderly exit
+    std::unique_lock<std::mutex> lock(conns_mu_);
+    if (stopped_) return;  // Shutdown(), or raced with Stop: drop it
+    ReapLocked();
+    if (!sock.ok()) {
+      // Out of fds, or a connection aborted before accept(): neither ends
+      // the node's life as a peer. Reaping above may have freed fds.
+      stop_cv_.wait_for(lock, std::chrono::milliseconds(backoff_ms),
+                        [this] { return stopped_; });
+      backoff_ms = std::min(backoff_ms * 2, kMaxAcceptBackoffMs);
+      continue;
+    }
+    backoff_ms = 1;
     auto conn = std::make_shared<ServerConn>();
     conn->sock = std::move(sock.value());
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopped_) return;  // raced with Stop: drop the connection
-    conns_.push_back(conn);
-    conn_threads_.emplace_back(&ClusterNode::ServeConnection, this,
-                               std::move(conn));
+    auto in = inbound_.emplace(inbound_.end());
+    in->conn = conn;
+    in->thread = std::thread([this, in, conn = std::move(conn)] {
+      ServeConnection(conn);
+      FinishConnection(in);
+    });
+  }
+}
+
+void ClusterNode::FinishConnection(std::list<Inbound>::iterator in) {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  {
+    // Outcome callbacks may still hold the connection and send on it.
+    std::lock_guard<std::mutex> send(in->conn->send_mu);
+    in->conn->sock.Close();
+  }
+  in->conn.reset();
+  in->done = true;
+}
+
+void ClusterNode::ReapLocked() {
+  for (auto it = inbound_.begin(); it != inbound_.end();) {
+    if (!it->done) {
+      ++it;
+      continue;
+    }
+    it->thread.join();  // past FinishConnection: only its return is left
+    it = inbound_.erase(it);
   }
 }
 
@@ -702,16 +738,20 @@ void ClusterNode::Stop() {
     stopped_ = true;
   }
   // 1. No new inbound connections.
+  stop_cv_.notify_all();
   listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
-  // 2. Wake every connection thread out of its blocking read.
+  // 2. Wake every connection thread out of its blocking read. The accept
+  //    thread is gone, so inbound_ only changes through FinishConnection,
+  //    which edits its own entry under conns_mu_.
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& c : conns_) c->sock.ShutdownBoth();
+    for (Inbound& in : inbound_) {
+      if (in.conn) in.conn->sock.ShutdownBoth();
+    }
   }
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
+  for (Inbound& in : inbound_) in.thread.join();
+  inbound_.clear();
   // 3. Fail all in-flight outbound requests (proxy tickets resolve
   //    kUnavailable) and stop forwarding.
   cluster_->Shutdown();

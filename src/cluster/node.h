@@ -2,7 +2,9 @@
 #define EQ_CLUSTER_NODE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -219,9 +221,26 @@ class ClusterNode {
   void Stop();
 
  private:
+  /// One accepted connection and the thread serving it. The thread closes
+  /// the socket and sets `done` when it hangs up; the accept loop joins
+  /// done threads, so neither fds nor threads accumulate over uptime.
+  struct Inbound {
+    std::shared_ptr<ServerConn> conn;  ///< null once done
+    std::thread thread;
+    bool done = false;
+  };
+
   ClusterNode() = default;
+  /// Accepts until Stop(). A failed accept() (EMFILE, ECONNABORTED, ...)
+  /// is retried after a backoff that doubles up to kMaxAcceptBackoffMs.
   void AcceptLoop();
   void ServeConnection(std::shared_ptr<ServerConn> conn);
+  /// Closes `in`'s socket and marks it done (run by its own thread last).
+  void FinishConnection(std::list<Inbound>::iterator in);
+  /// Joins and drops the done connections. Requires conns_mu_.
+  void ReapLocked();
+
+  static constexpr int kMaxAcceptBackoffMs = 200;
 
   ClusterOptions opts_;
   std::unique_ptr<service::CoordinationService> local_;
@@ -230,9 +249,9 @@ class ClusterNode {
   std::thread accept_thread_;
 
   std::mutex conns_mu_;
+  std::condition_variable stop_cv_;  ///< wakes an accept backoff at Stop
   bool stopped_ = false;
-  std::vector<std::shared_ptr<ServerConn>> conns_;
-  std::vector<std::thread> conn_threads_;
+  std::list<Inbound> inbound_;  ///< stable iterators: one per thread
 };
 
 }  // namespace eq::cluster

@@ -15,14 +15,6 @@ uint64_t NextOwnerTag() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// The partition count for `keys` distinct keys: the smallest power of two
-/// giving at most kKeysPerPartition keys per partition on average.
-size_t PartitionsFor(size_t keys) {
-  size_t parts = 1;
-  while (parts * TableVersion::kKeysPerPartition < keys) parts <<= 1;
-  return parts;
-}
-
 size_t PartitionOf(const ir::Value& v, size_t parts) {
   return ir::ValueHash()(v) & (parts - 1);
 }
@@ -53,6 +45,7 @@ TableVersion::TableVersion(const TableVersion& other)
     : schema_(other.schema_),
       order_(other.order_),
       id_(NextOwnerTag()),
+      loading_(other.loading_),
       segs_(other.segs_),
       size_(other.size_),
       dead_count_(other.dead_count_),
@@ -105,24 +98,26 @@ void TableVersion::AppendRow(std::shared_ptr<const Row> row) {
   Own(segs_[s])->rows[id & kSegmentMask] = std::move(row);
   ++size_;
   for (size_t c = 0; c < hash_.size(); ++c) {
-    HashIndex& h = hash_[c];
-    if (h.parts.empty()) continue;
-    auto& entries =
-        Own(h.parts[PartitionOf(cells[c], h.parts.size())])->entries;
-    auto it = SeekKey(entries, cells[c]);
-    if (it != entries.end() && it->first == cells[c]) {
-      it->second.push_back(id);
-      continue;
-    }
-    entries.insert(it, {cells[c], {id}});
-    // Doubling keeps partitions near kKeysPerPartition keys: amortized
-    // O(1) per new key.
-    if (++h.keys > h.parts.size() * kKeysPerPartition) {
-      Repartition(c, h.parts.size() * 2);
-    }
+    if (!hash_[c].parts.empty()) HashInsert(c, cells[c], id);
   }
   for (size_t c = 0; c < ordered_.size(); ++c) {
     if (ordered_[c].built) OrderedInsert(c, id);
+  }
+}
+
+void TableVersion::HashInsert(size_t col, const ir::Value& cell, uint32_t id) {
+  HashIndex& h = hash_[col];
+  auto& entries = Own(h.parts[PartitionOf(cell, h.parts.size())])->entries;
+  auto it = SeekKey(entries, cell);
+  if (it != entries.end() && it->first == cell) {
+    it->second.push_back(id);
+    return;
+  }
+  entries.insert(it, {cell, {id}});
+  // Doubling keeps partitions near kKeysPerPartition keys: amortized O(1)
+  // per new key.
+  if (++h.keys > h.parts.size() * kKeysPerPartition) {
+    Repartition(col, h.parts.size() * 2);
   }
 }
 
@@ -407,11 +402,12 @@ void TableVersion::Compact() {
 }
 
 void TableVersion::RebuildIndexes() {
+  // Hash first: the ordered indexes are built from the hash postings.
   for (size_t c = 0; c < hash_.size(); ++c) {
     if (HasIndex(c)) BuildIndex(c);
   }
   for (size_t c = 0; c < ordered_.size(); ++c) {
-    if (HasOrderedIndex(c)) BuildOrderedIndex(c);
+    if (HasOrderedIndex(c)) BulkOrdered(c);
   }
 }
 
@@ -420,32 +416,15 @@ Status TableVersion::BuildIndex(size_t col) {
     return Status::InvalidArgument("no column " + std::to_string(col));
   }
   if (hash_.size() < schema_.arity()) hash_.resize(schema_.arity());
-  // Bulk load: one sort of (key, row id), then each key's run becomes an
-  // entry of its partition — appended in key order, so already sorted.
-  std::vector<std::pair<ir::Value, uint32_t>> cells;
-  cells.reserve(row_count());
-  for (uint32_t i = 0; i < size_; ++i) {
-    if (!row_dead(i)) cells.emplace_back(row(i)[col], i);
-  }
-  std::sort(cells.begin(), cells.end());
-  size_t keys = 0;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (i == 0 || cells[i].first != cells[i - 1].first) ++keys;
-  }
+  // The same per-row posting as AppendRow: in row-id order, so every
+  // key's postings come out ascending, and partitions double as keys
+  // arrive — a load costs the same with the index built before the rows
+  // or after them.
   HashIndex& h = hash_[col];
-  h.keys = keys;
-  h.parts.clear();
-  const size_t parts = PartitionsFor(keys);
-  for (size_t p = 0; p < parts; ++p) h.parts.push_back(NewPiece<Partition>());
-  for (size_t i = 0; i < cells.size();) {
-    size_t end = i;
-    std::vector<uint32_t> ids;
-    while (end < cells.size() && cells[end].first == cells[i].first) {
-      ids.push_back(cells[end++].second);
-    }
-    h.parts[PartitionOf(cells[i].first, parts)]->entries.emplace_back(
-        cells[i].first, std::move(ids));
-    i = end;
+  h.keys = 0;
+  h.parts.assign(1, NewPiece<Partition>());
+  for (uint32_t i = 0; i < size_; ++i) {
+    if (!row_dead(i)) HashInsert(col, row(i)[col], i);
   }
   return Status::OK();
 }
@@ -486,32 +465,78 @@ Status TableVersion::BuildOrderedIndex(size_t col) {
         "ordered index on STRING column '" + schema_.columns[col].name +
         "' needs the table's sorted dictionary (this table has none)");
   }
+  if (!HasIndex(col)) EQ_RETURN_NOT_OK(BuildIndex(col));
   if (ordered_.size() < schema_.arity()) ordered_.resize(schema_.arity());
-  // Bulk load: one sort of every live entry, then slice into full chunks.
-  // String cells resolve their text once per row, so the sort compares
-  // text directly instead of taking the interner's lock per comparison.
-  std::vector<Key> keys;
-  keys.reserve(row_count());
-  for (uint32_t i = 0; i < size_; ++i) {
-    if (row_dead(i)) continue;
-    const ir::Value& cell = row(i)[col];
-    keys.push_back({&cell, TextOf(cell), i});
-  }
-  std::sort(keys.begin(), keys.end(),
-            [&](const Key& a, const Key& b) { return KeyLess(a, b); });
-  OrderedIndex& idx = ordered_[col];
-  idx.built = true;
-  idx.chunks.clear();
-  for (size_t at = 0; at < keys.size(); at += kChunkRows) {
-    const size_t end = std::min(keys.size(), at + kChunkRows);
-    auto chunk = NewPiece<Chunk>();
-    chunk->ids.reserve(end - at);
-    for (size_t e = at; e < end; ++e) chunk->ids.push_back(keys[e].id);
-    chunk->last = *keys[end - 1].cell;
-    chunk->last_text = keys[end - 1].text;
-    idx.chunks.push_back(std::move(chunk));
+  if (loading_) {
+    OrderedIndex& idx = ordered_[col];
+    idx.built = false;
+    idx.deferred = true;
+    idx.chunks.clear();
+  } else {
+    BulkOrdered(col);
   }
   return Status::OK();
+}
+
+void TableVersion::BuildAllDeferred() {
+  for (size_t c = 0; c < ordered_.size(); ++c) BuildDeferred(c);
+  loading_ = false;
+}
+
+std::shared_ptr<TableVersion> TableVersion::FreshWith(
+    std::vector<Row> rows) const {
+  auto next = std::make_shared<TableVersion>(schema_, order_);
+  for (Row& r : rows) next->AppendRow(std::make_shared<const Row>(std::move(r)));
+  for (size_t c = 0; c < schema_.arity(); ++c) {
+    if (HasIndex(c)) next->BuildIndex(c);
+    if (c < ordered_.size() && (ordered_[c].built || ordered_[c].deferred)) {
+      next->BuildOrderedIndex(c);
+    }
+  }
+  return next;
+}
+
+void TableVersion::BulkOrdered(size_t col) {
+  // Sort the distinct keys, not the rows: each key's postings already list
+  // its row ids in ascending order, which is the index order within a key.
+  // String keys resolve their text once, so the sort compares text directly
+  // instead of taking the interner's lock per comparison.
+  struct Run {
+    const Partition::Entry* entry;
+    const std::string* text;
+  };
+  std::vector<Run> runs;
+  runs.reserve(hash_[col].keys);
+  for (const auto& part : hash_[col].parts) {
+    for (const Partition::Entry& e : part->entries) {
+      runs.push_back({&e, TextOf(e.first)});
+    }
+  }
+  std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
+    return CompareCells(Key{&a.entry->first, a.text, 0},
+                        Key{&b.entry->first, b.text, 0}, order_) < 0;
+  });
+  OrderedIndex& idx = ordered_[col];
+  idx.built = true;
+  idx.deferred = false;
+  idx.chunks.clear();
+  for (const Run& run : runs) {
+    const std::vector<uint32_t>& ids = run.entry->second;
+    for (size_t at = 0; at < ids.size();) {
+      if (idx.chunks.empty() || idx.chunks.back()->ids.size() == kChunkRows) {
+        idx.chunks.push_back(NewPiece<Chunk>());
+        idx.chunks.back()->ids.reserve(kChunkRows);
+      }
+      Chunk& chunk = *idx.chunks.back();
+      const size_t take = std::min(kChunkRows - chunk.ids.size(),
+                                   ids.size() - at);
+      chunk.ids.insert(chunk.ids.end(), ids.begin() + static_cast<ptrdiff_t>(at),
+                       ids.begin() + static_cast<ptrdiff_t>(at + take));
+      at += take;
+      chunk.last = run.entry->first;
+      chunk.last_text = run.text;
+    }
+  }
 }
 
 IdSpans TableVersion::OrderedRange(size_t col, ir::CompareOp op,

@@ -159,6 +159,17 @@ using IdSpans = std::vector<IdSpan>;
 /// skip `row_dead(i)` rows; `row_count()` reports live rows. Compact()
 /// erases the dead rows for real (the CoW handle triggers it once
 /// `dead_fraction()` crosses its compaction threshold).
+///
+/// Loading: a version made by the schema constructor is *loading* until it
+/// is first shared. While loading, an ordered index declared by
+/// BuildOrderedIndex is only marked deferred: inserts, deletes and updates
+/// maintain the hash postings per row but leave the ordered index alone.
+/// EndLoad() (run by Table::version() before the first share) builds each
+/// deferred index once, in bulk, from its column's hash postings; from
+/// then on ordered indexes are maintained per row. A copy of a version
+/// that is no longer loading — every published version — never defers.
+/// Readers only ever see built ordered indexes: HasOrderedIndex() is false
+/// for a deferred one.
 class TableVersion {
  public:
   static constexpr size_t kSegmentShift = 6;
@@ -260,7 +271,8 @@ class TableVersion {
   /// Only valid while this version is exclusively owned.
   void Compact();
 
-  /// Builds (or rebuilds) a hash index on `col`; kept up to date by Insert.
+  /// Builds (or rebuilds) a hash index on `col` by posting every live row
+  /// in turn; kept up to date by Insert/DeleteWhere/UpdateWhere.
   /// Only valid while this version is exclusively owned.
   Status BuildIndex(size_t col);
 
@@ -268,16 +280,37 @@ class TableVersion {
     return col < hash_.size() && !hash_[col].parts.empty();
   }
 
-  /// Builds (or rebuilds) an ordered index on `col`: row ids sorted by the
-  /// cell value (sorted-dictionary order for strings — requires order()),
-  /// in one sort, then sliced into chunks. Kept up to date by
-  /// Insert/DeleteWhere/UpdateWhere.
+  /// Declares an ordered index on `col`: row ids sorted by the cell value
+  /// (sorted-dictionary order for strings — requires order()), sliced into
+  /// chunks. It is built from the column's hash postings, so a hash index
+  /// on `col` is built first if there is none. While this version is
+  /// loading the build is deferred to EndLoad(); otherwise it runs now.
+  /// Kept up to date by Insert/DeleteWhere/UpdateWhere once built.
   /// Only valid while this version is exclusively owned.
   Status BuildOrderedIndex(size_t col);
 
+  /// True iff the ordered index on `col` is built (a deferred one is not).
   bool HasOrderedIndex(size_t col) const {
     return col < ordered_.size() && ordered_[col].built;
   }
+
+  /// Builds the ordered index on `col` now if it is deferred.
+  /// Only valid while this version is exclusively owned.
+  void BuildDeferred(size_t col) {
+    if (col < ordered_.size() && ordered_[col].deferred) BulkOrdered(col);
+  }
+
+  /// Ends the load: builds every deferred ordered index, after which
+  /// ordered indexes are maintained per row. A no-op (that writes
+  /// nothing) once the load has ended, so shared versions may call it.
+  void EndLoad() {
+    if (loading_) BuildAllDeferred();
+  }
+
+  /// A fresh, loading version with this version's schema, order and index
+  /// declarations, holding `rows` (already schema-checked). The rows go in
+  /// first, then the hash postings, and the ordered indexes are deferred.
+  std::shared_ptr<TableVersion> FreshWith(std::vector<Row> rows) const;
 
   /// Row ids whose `col` equals `v`. Requires HasIndex(col); returns a
   /// pointer to an empty vector when no rows match.
@@ -323,6 +356,7 @@ class TableVersion {
   };
   struct OrderedIndex {
     bool built = false;
+    bool deferred = false;  // declared while loading; built at EndLoad()
     std::vector<std::shared_ptr<Chunk>> chunks;  // no chunk is empty
   };
 
@@ -362,6 +396,18 @@ class TableVersion {
 
   /// Appends an already-validated row, wiring it into every built index.
   void AppendRow(std::shared_ptr<const Row> row);
+
+  /// Adds row `id` (whose `col` cell is `cell`) to the hash postings of
+  /// `col`, after every id already there.
+  void HashInsert(size_t col, const ir::Value& cell, uint32_t id);
+
+  /// EndLoad's work: every deferred index, then the load flag.
+  void BuildAllDeferred();
+
+  /// (Re)builds the ordered index on `col` from its hash postings: the
+  /// distinct keys are sorted and each key's ascending postings are
+  /// streamed into full chunks. Requires HasIndex(col).
+  void BulkOrdered(size_t col);
 
   /// Tombstones row `id` and unlinks it from every built index.
   void KillRow(uint32_t id);
@@ -403,6 +449,7 @@ class TableVersion {
   Schema schema_;
   const StringInterner* order_ = nullptr;  // sorted-dictionary (may be null)
   uint64_t id_ = 0;  // owner tag of the pieces this version created
+  bool loading_ = true;  // until EndLoad(); copies inherit it
   std::vector<std::shared_ptr<Segment>> segs_;
   size_t size_ = 0;  // physical rows
   size_t dead_count_ = 0;
@@ -423,9 +470,16 @@ class TableVersion {
 /// between publishes) mutation is in place, and so is every piece that
 /// version already copied.
 ///
+/// Ordered indexes of a fresh version (a new handle, or the one
+/// ReplaceAllRows installs) are deferred while it loads (see
+/// TableVersion): version() ends the load before handing the version out,
+/// so every shared version has them built, and HasOrderedIndex /
+/// OrderedRange build the asked column's index first.
+///
 /// Thread model: a Table handle is single-writer (db::Storage serializes
 /// writes); concurrent readers must read via db::Snapshot, never through a
-/// handle another thread may mutate.
+/// handle another thread may mutate. version(), HasOrderedIndex and
+/// OrderedRange may build a deferred index, so they count as writes.
 ///
 /// Write invariants every mutation path upholds (callers — and the
 /// no-publish logic in db::Storage — rely on both):
@@ -530,29 +584,14 @@ class Table {
   /// follower swaps each one in atomically. Rows are validated before any
   /// state changes, and the swap installs a fresh TableVersion rather than
   /// mutating in place, so snapshot readers keep the version they captured.
-  /// The rows go in first and every index is then built in bulk.
+  /// Each ordered index of the fresh version is built in bulk when it is
+  /// first shared.
   Status ReplaceAllRows(std::vector<Row> rows) {
     for (const Row& r : rows) {
       Status st = v_->CheckRow(r);
       if (!st.ok()) return st;
     }
-    // Rows first, then every index in bulk (one sort per ordered index).
-    auto next = std::make_shared<TableVersion>(v_->schema(), v_->order());
-    for (Row& r : rows) {
-      Status st = next->Insert(std::move(r));
-      if (!st.ok()) return st;
-    }
-    for (size_t c = 0; c < v_->schema().arity(); ++c) {
-      if (v_->HasIndex(c)) {
-        Status st = next->BuildIndex(c);
-        if (!st.ok()) return st;
-      }
-      if (v_->HasOrderedIndex(c)) {
-        Status st = next->BuildOrderedIndex(c);
-        if (!st.ok()) return st;
-      }
-    }
-    v_ = std::move(next);
+    v_ = v_->FreshWith(std::move(rows));
     return Status::OK();
   }
 
@@ -569,7 +608,8 @@ class Table {
     return Status::OK();
   }
 
-  /// Builds (or rebuilds) just the ordered index on `col`.
+  /// Declares just the ordered index on `col` (and the hash index it is
+  /// built from, if absent).
   Status BuildOrderedIndex(size_t col) {
     if (col >= v_->schema().arity()) {
       return Status::InvalidArgument("no column " + std::to_string(col));
@@ -578,10 +618,21 @@ class Table {
   }
 
   bool HasIndex(size_t col) const { return v_->HasIndex(col); }
-  bool HasOrderedIndex(size_t col) const { return v_->HasOrderedIndex(col); }
+  /// Builds a deferred ordered index on `col` first, so the answer is the
+  /// one a snapshot would give.
+  bool HasOrderedIndex(size_t col) const {
+    v_->BuildDeferred(col);
+    return v_->HasOrderedIndex(col);
+  }
 
   const std::vector<uint32_t>* Probe(size_t col, const ir::Value& v) const {
     return v_->Probe(col, v);
+  }
+
+  /// TableVersion::OrderedRange, building a deferred index on `col` first.
+  IdSpans OrderedRange(size_t col, ir::CompareOp op, const ir::Value& v) const {
+    v_->BuildDeferred(col);
+    return v_->OrderedRange(col, op, v);
   }
 
   /// The tombstoned fraction that triggers physical compaction after a
@@ -589,8 +640,13 @@ class Table {
   double compaction_threshold() const { return compaction_threshold_; }
   void set_compaction_threshold(double t) { compaction_threshold_ = t; }
 
-  /// The current version, shareable with snapshots.
-  std::shared_ptr<const TableVersion> version() const { return v_; }
+  /// The current version, shareable with snapshots. The first call on a
+  /// loading version ends its load (see TableVersion) — Database::MakeRep,
+  /// Storage::Publish and snapshot() all share versions through here.
+  std::shared_ptr<const TableVersion> version() const {
+    v_->EndLoad();
+    return v_;
+  }
 
  private:
   TableVersion* Mutable() {

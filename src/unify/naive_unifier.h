@@ -11,7 +11,7 @@ namespace eq::unify {
 
 /// Textbook set-of-sets unifier used as (a) a correctness oracle for the
 /// disjoint-set implementation in property tests and (b) the "naive MGU"
-/// arm of the ablation benchmark (DESIGN.md ✦: DSU-MGU vs naive MGU).
+/// arm of the ablation benchmark (docs/EXPERIMENTS.md: DSU-MGU vs naive MGU).
 ///
 /// Every operation is linear in the number of classes; MergeFrom is
 /// quadratic. Semantics are identical to unify::Unifier.

@@ -8,14 +8,20 @@
 // wake-up of a remote pending query via snapshot delta replication,
 // backend-agnostic Session code, cross-node group-merge migration,
 // peer-death -> kUnavailable (never a hang), handshake catalog
-// verification, and garbage-on-the-port robustness.
+// verification, garbage-on-the-port robustness, and bounded inbound
+// connection state (fds come back; fd exhaustion does not end accepting).
 
 #include "db/database.h"
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/session.h"
@@ -488,6 +494,104 @@ TEST(ClusterTest, GarbageOnThePortDoesNotDisturbTheCluster) {
       << tk->outcome().status.ToString();
   EXPECT_EQ(tj->outcome().state, ServiceOutcome::State::kAnswered)
       << tj->outcome().status.ToString();
+}
+
+// ------------------------------------------------ inbound connections --
+
+/// Open fds of this process.
+size_t CountFds() {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+/// A one-node cluster: no peer links, so every fd the node opens after
+/// start-up belongs to an inbound connection.
+std::unique_ptr<ClusterNode> LoneNode() {
+  ClusterOptions opts = NodeOpts(0, PickFreePort(), 1, 0);
+  opts.peers.clear();
+  auto node = ClusterNode::Start(std::move(opts));
+  EXPECT_TRUE(node.ok()) << node.status().ToString();
+  return node.ok() ? std::move(node.value()) : nullptr;
+}
+
+/// Sends a length prefix beyond the frame limit on `s` and expects the
+/// node to hang up (EOF, or a reset for the unread byte) within seconds.
+void SendGarbageAndExpectHangUp(net::Socket& s) {
+  const char junk[] = {(char)0xff, (char)0xfe, 0x01, 0x02, 0x03, 0x04};
+  ASSERT_TRUE(s.SendAll(junk, sizeof(junk), 1000).ok());
+  char byte;
+  Status st = s.RecvAll(&byte, 1, 5000);
+  ASSERT_FALSE(st.ok());
+  ASSERT_EQ(st.ToString().find("timed out"), std::string::npos)
+      << "the node never hung up";
+}
+
+void SendGarbageAndExpectHangUp(uint16_t port) {
+  auto s = net::Socket::Connect("127.0.0.1", port, 2000);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  SendGarbageAndExpectHangUp(s.value());
+}
+
+TEST(ClusterTest, ClosedInboundConnectionsReleaseTheirFds) {
+  std::unique_ptr<ClusterNode> node = LoneNode();
+  ASSERT_TRUE(node);
+  const size_t baseline = CountFds();
+  // One at a time: each connection is hung up on, and its fd and thread
+  // must go with it, not wait for Stop().
+  for (int i = 0; i < 64; ++i) {
+    SCOPED_TRACE(::testing::Message() << "connection " << i);
+    ASSERT_NO_FATAL_FAILURE(SendGarbageAndExpectHangUp(node->listen_port()));
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t now = CountFds();
+  while (now > baseline && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    now = CountFds();
+  }
+  EXPECT_LE(now, baseline) << "fds leaked by 64 closed connections";
+}
+
+TEST(ClusterTest, AcceptLoopSurvivesFdExhaustion) {
+  std::unique_ptr<ClusterNode> node = LoneNode();
+  ASSERT_TRUE(node);
+  // Cap this process's fds a little above the highest one in use, fill
+  // every free number below the cap, and connect with the last one: the
+  // node's accept() then fails with EMFILE while the connection waits in
+  // the backlog.
+  int top = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+    top = std::max(top, std::stoi(e.path().filename().string()));
+  }
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(top) + 8;
+  ASSERT_LT(capped.rlim_cur, saved.rlim_cur);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &capped), 0);
+  std::vector<int> fillers;
+  for (;;) {
+    int fd = ::open("/dev/null", O_RDONLY);
+    if (fd < 0) break;
+    fillers.push_back(fd);
+  }
+  ASSERT_FALSE(fillers.empty());
+  ::close(fillers.back());  // the slot the client takes
+  fillers.pop_back();
+  auto client = net::Socket::Connect("127.0.0.1", node->listen_port(), 2000);
+  // Several failed accepts and backoffs, then room again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int fd : fillers) ::close(fd);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  // The waiting connection and a new one are both served (and hung up on
+  // for their garbage).
+  ASSERT_NO_FATAL_FAILURE(SendGarbageAndExpectHangUp(client.value()));
+  SendGarbageAndExpectHangUp(node->listen_port());
 }
 
 }  // namespace

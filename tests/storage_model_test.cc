@@ -10,7 +10,11 @@
 //  - delete/update matched-row counts equal the reference counts for the
 //    same random predicate;
 //  - ordered-index range spans are exactly the live matching rows;
-//  - the version history stays bounded by the reported read watermark.
+//  - the version history stays bounded by the reported read watermark;
+//  - a table loaded with its indexes declared before any row (ordered
+//    indexes deferred to the first share) answers every probe and range
+//    like a scan, before, at and after that share, and its deferred build
+//    equals a rows-first bulk build id for id.
 //
 // Op counts shrink under ASan/TSan (the sanitizer legs run the same
 // logic; wall-clock is the only difference). The failing seed is echoed
@@ -21,8 +25,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <climits>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -531,6 +539,354 @@ TEST_P(StorageSharingModelTest, HeldSnapshotsSurviveWritesIntoSharedPieces) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StorageSharingModelTest,
                          ::testing::Range<uint64_t>(1, 4));
+
+// ------------------------------------------------- index-first loads ---
+//
+// A table whose hash and ordered indexes are declared before any row, so
+// its ordered indexes are deferred while it loads. Each seed runs a load
+// of row batches, deletes, updates and compactions through the Table
+// handle, then the first share at a random step and by one of four
+// routes — a Database snapshot, Table::version(), or the handle answering
+// HasOrderedIndex or OrderedRange for one column (which builds only that
+// column) — then further writes with snapshots held. After every step the
+// handle's postings (and its ranges, on every column built so far) and
+// every held snapshot's postings and ranges must agree with the reference
+// rows. Whenever a column's ordered index is built it must equal, chunk
+// for chunk and id for id, the index a rows-first load of the same live
+// rows builds. A reader thread walks the first shared version while the
+// writes go on (the TSan leg's view of the first share).
+
+constexpr size_t kLoadSteps = EQ_MODEL_SANITIZED ? 60 : 120;
+constexpr size_t kAfterSteps = EQ_MODEL_SANITIZED ? 30 : 60;
+
+/// A reference row by symbol: (s, n).
+using SymRow = std::pair<SymbolId, int64_t>;
+
+/// `row` as (s, n).
+SymRow SymOf(const Row& row) { return {row[0].AsStr(), row[1].AsInt()}; }
+
+/// The rows behind `ids`, read through `src`, sorted.
+template <typename Source>
+std::vector<SymRow> SortedRows(const Source& src, const uint32_t* b,
+                               const uint32_t* e) {
+  std::vector<SymRow> out;
+  for (const uint32_t* p = b; p != e; ++p) out.push_back(SymOf(src.row(*p)));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<uint32_t> Flatten(const IdSpans& spans) {
+  std::vector<uint32_t> ids;
+  for (auto [b, e] : spans) ids.insert(ids.end(), b, e);
+  return ids;
+}
+
+/// Checks every key's postings, and random ranges on the columns marked in
+/// `ranges`, of `src` (a Table handle or a TableVersion) against `ref`.
+/// The reference compares strings as text, independently of the index.
+template <typename Source>
+void CheckIndexes(const Source& src, const std::vector<SymRow>& ref,
+                  const StringInterner& interner, Rng& rng,
+                  std::array<bool, 2> ranges) {
+  auto check_postings = [&](size_t col, const ir::Value& key,
+                            const std::vector<SymRow>& want) {
+    const std::vector<uint32_t>* ids = src.Probe(col, key);
+    ASSERT_NE(ids, nullptr);
+    ASSERT_TRUE(std::adjacent_find(ids->begin(), ids->end(),
+                                   std::greater_equal<uint32_t>()) ==
+                ids->end())
+        << "postings not strictly ascending";
+    ASSERT_EQ(SortedRows(src, ids->data(), ids->data() + ids->size()), want)
+        << "postings of column " << col;
+  };
+  // Every key of each column: its run of the reference sorted by that key.
+  std::vector<SymRow> sorted = ref;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size();) {
+    size_t end = i;
+    while (end < sorted.size() && sorted[end].first == sorted[i].first) ++end;
+    check_postings(0, ir::Value::Str(sorted[i].first),
+                   {sorted.begin() + i, sorted.begin() + end});
+    i = end;
+  }
+  auto by_n = [](const SymRow& a, const SymRow& b) {
+    return a.second != b.second ? a.second < b.second : a < b;
+  };
+  std::sort(sorted.begin(), sorted.end(), by_n);
+  for (size_t i = 0; i < sorted.size();) {
+    size_t end = i;
+    while (end < sorted.size() && sorted[end].second == sorted[i].second) ++end;
+    std::vector<SymRow> want(sorted.begin() + i, sorted.begin() + end);
+    std::sort(want.begin(), want.end());
+    check_postings(1, ir::Value::Int(sorted[i].second), want);
+    i = end;
+  }
+  check_postings(1, ir::Value::Int(-1), {});
+
+  const ir::CompareOp ops[] = {ir::CompareOp::kLt, ir::CompareOp::kLe,
+                               ir::CompareOp::kGt, ir::CompareOp::kGe};
+  for (size_t col = 0; col < 2; ++col) {
+    if (!ranges[col]) continue;
+    for (ir::CompareOp op : ops) {
+      // A bound drawn from the live rows (or a fixed one when empty).
+      const SymRow pick = ref.empty() ? SymRow{interner.Lookup("b"), 15}
+                                      : ref[rng.Below(ref.size())];
+      const ir::Value bound = col == 0 ? ir::Value::Str(pick.first)
+                                       : ir::Value::Int(pick.second);
+      const std::string& pick_text = interner.Name(pick.first);
+      std::vector<SymRow> want;
+      for (const SymRow& r : ref) {
+        int c = col == 1 ? (r.second < pick.second
+                                ? -1
+                                : (r.second > pick.second ? 1 : 0))
+                         : interner.Name(r.first).compare(pick_text);
+        if (CmpHolds(c, op)) want.push_back(r);
+      }
+      std::sort(want.begin(), want.end());
+      std::vector<uint32_t> ids = Flatten(src.OrderedRange(col, op, bound));
+      ASSERT_EQ(SortedRows(src, ids.data(), ids.data() + ids.size()), want)
+          << "range on column " << col << " " << ir::CompareOpName(op);
+      for (size_t i = 1; i < ids.size(); ++i) {
+        int c = ir::CompareValues(src.row(ids[i - 1])[col],
+                                  src.row(ids[i])[col], &interner);
+        ASSERT_TRUE(c < 0 || (c == 0 && ids[i - 1] < ids[i]))
+            << "range out of (value, id) order";
+      }
+    }
+  }
+}
+
+class IndexFirstLoadModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IndexFirstLoadModelTest, DeferredOrderedIndexesAgreeAtEveryStep) {
+  const uint64_t seed = GetParam();
+  SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+  Rng rng(seed);
+
+  auto interner = std::make_shared<StringInterner>();
+  Database db(interner);
+  const Schema schema{{"s", ir::ValueType::kString},
+                      {"n", ir::ValueType::kInt}};
+  ASSERT_TRUE(db.CreateTable("L", schema).ok());
+  Table* table = db.GetTable("L");
+  ASSERT_TRUE(table->BuildIndex(0).ok());
+  ASSERT_TRUE(table->BuildIndex(1).ok());
+
+  // 84 names of one to three letters, interned up front in a shuffled
+  // order, so symbol order is not text order.
+  std::vector<std::string> texts;
+  for (char a = 'a'; a <= 'd'; ++a) {
+    texts.emplace_back(1, a);
+    for (char b = 'a'; b <= 'd'; ++b) {
+      texts.push_back(std::string{a, b});
+      for (char c = 'a'; c <= 'd'; ++c) texts.push_back(std::string{a, b, c});
+    }
+  }
+  for (size_t i = texts.size() - 1; i > 0; --i) {
+    std::swap(texts[i], texts[rng.Below(i + 1)]);
+  }
+  std::vector<SymbolId> names;
+  for (const std::string& t : texts) names.push_back(interner->Intern(t));
+  auto rand_row = [&] {
+    return SymRow{names[rng.Below(names.size())],
+                  static_cast<int64_t>(rng.Below(30))};
+  };
+  auto to_row = [](const SymRow& r) {
+    return Row{ir::Value::Str(r.first), ir::Value::Int(r.second)};
+  };
+
+  std::vector<SymRow> ref;
+  std::array<bool, 2> built{false, false};
+  struct Held {
+    Snapshot snap;  // empty for a version taken by Table::version()
+    std::shared_ptr<const TableVersion> version;
+    std::vector<SymRow> ref;
+  };
+  std::vector<Held> held;
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> reader_done{false};
+  std::atomic<size_t> reads{0};
+  std::thread reader;
+  auto start_reader = [&](Held first) {
+    reader = std::thread([&, first = std::move(first)] {
+      const TableVersion& v = *first.version;
+      const ir::Value any = ir::Value::Int(INT64_MIN);
+      while (!stop.load(std::memory_order_relaxed)) {
+        size_t live = 0;
+        for (size_t i = 0; i < v.physical_size(); ++i) live += !v.row_dead(i);
+        size_t ranged =
+            Flatten(v.OrderedRange(1, ir::CompareOp::kGe, any)).size();
+        if (live != first.ref.size() || ranged != live) {
+          ADD_FAILURE() << "reader saw " << live << " live rows and "
+                        << ranged << " ranged, want " << first.ref.size();
+          break;
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+      reader_done.store(true);
+    });
+  };
+
+  // A column's ordered index was just built: it must be the index a
+  // rows-first load of the same live rows (in physical order, taken from
+  // the hash postings) builds, with every chunk but the last full.
+  auto expect_rows_first_chunks = [&](size_t col) {
+    std::vector<uint32_t> live;
+    for (int64_t n = 0; n < 30; ++n) {
+      const std::vector<uint32_t>* ids = table->Probe(1, ir::Value::Int(n));
+      live.insert(live.end(), ids->begin(), ids->end());
+    }
+    std::sort(live.begin(), live.end());
+    ASSERT_EQ(live.size(), ref.size());
+    Database rows_first(interner);
+    ASSERT_TRUE(rows_first.CreateTable("R", schema).ok());
+    Table* r = rows_first.GetTable("R");
+    for (uint32_t id : live) ASSERT_TRUE(r->Insert(table->row(id)).ok());
+    ASSERT_TRUE(r->BuildIndex(0).ok());
+    ASSERT_TRUE(r->BuildIndex(1).ok());
+    const ir::Value min = col == 0 ? ir::Value::Str(interner->Intern(""))
+                                   : ir::Value::Int(INT64_MIN);
+    IdSpans want = r->OrderedRange(col, ir::CompareOp::kGe, min);
+    IdSpans got = table->OrderedRange(col, ir::CompareOp::kGe, min);
+    ASSERT_EQ(got.size(), want.size()) << "chunks of column " << col;
+    for (size_t c = 0; c < got.size(); ++c) {
+      const size_t size = static_cast<size_t>(got[c].second - got[c].first);
+      ASSERT_EQ(size, static_cast<size_t>(want[c].second - want[c].first))
+          << "chunk " << c << " of column " << col;
+      if (c + 1 < got.size()) {
+        ASSERT_EQ(size, TableVersion::kChunkRows);
+      }
+      for (size_t i = 0; i < size; ++i) {
+        // Row ids of the rows-first table are ranks among the live rows.
+        auto rank = std::lower_bound(live.begin(), live.end(), got[c].first[i]);
+        ASSERT_EQ(static_cast<uint32_t>(rank - live.begin()), want[c].first[i])
+            << "chunk " << c << " of column " << col << ", entry " << i;
+      }
+    }
+  };
+  auto note_built = [&](size_t col) {
+    if (built[col]) return;
+    built[col] = true;
+    expect_rows_first_chunks(col);
+  };
+  auto share_all = [&](Held h) {
+    // Shared versions carry built ordered indexes before the handle is
+    // asked anything.
+    ASSERT_TRUE(h.version->HasOrderedIndex(0) && h.version->HasOrderedIndex(1));
+    if (held.size() >= 3) held.erase(held.begin() + 1);  // keep the first
+    held.push_back(std::move(h));
+    note_built(0);
+    note_built(1);
+    if (!reader.joinable()) start_reader(held.front());
+  };
+  auto hold_snapshot = [&] {
+    Snapshot snap = db.snapshot();
+    const TableVersion* v = snap.GetTable("L");
+    ASSERT_EQ(v, table->version().get());
+    share_all({std::move(snap), table->version(), ref});
+  };
+
+  const size_t share_at = rng.Below(kLoadSteps + 1);
+  const uint64_t share_route = rng.Below(4);
+  size_t most_rows = 0;
+  for (size_t step = 0; step < kLoadSteps + kAfterSteps; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step=" << step);
+    if (step == share_at) {
+      // ---- the first share
+      const size_t col = rng.Below(2);
+      if (share_route == 0) {
+        hold_snapshot();
+      } else if (share_route == 1) {
+        share_all({Snapshot(), table->version(), ref});
+      } else if (share_route == 2) {
+        ASSERT_TRUE(table->HasOrderedIndex(col));
+        note_built(col);
+      } else {
+        note_built(col);  // through the handle's OrderedRange
+      }
+      ASSERT_TRUE(table->HasOrderedIndex(col));
+    }
+    ASSERT_FALSE(HasFatalFailure());
+
+    const uint64_t roll = rng.Below(100);
+    if (step > share_at && roll < 8) {
+      hold_snapshot();
+    } else if (roll < 60) {
+      // ---- a batch of rows
+      for (size_t i = 1 + rng.Below(24); i > 0; --i) {
+        SymRow r = rand_row();
+        ASSERT_TRUE(table->Insert(to_row(r)).ok());
+        ref.push_back(r);
+      }
+    } else if (roll < 75) {
+      // ---- delete one key (or the lowest n); every third delete
+      // compacts right away
+      const SymRow key = rand_row();
+      const size_t col = rng.Below(3);
+      Predicate pred;
+      std::function<bool(const SymRow&)> match;
+      if (col == 0) {
+        pred = Predicate::Eq(0, ir::Value::Str(key.first));
+        match = [&](const SymRow& r) { return r.first == key.first; };
+      } else if (col == 1) {
+        pred = Predicate::Eq(1, ir::Value::Int(key.second));
+        match = [&](const SymRow& r) { return r.second == key.second; };
+      } else {
+        pred.And(1, ir::CompareOp::kLt, ir::Value::Int(2));
+        match = [](const SymRow& r) { return r.second < 2; };
+      }
+      const bool compact = rng.Below(3) == 0;
+      if (compact) table->set_compaction_threshold(0.0);
+      size_t removed = 0;
+      ASSERT_TRUE(table->DeleteWhere(pred, &removed).ok());
+      table->set_compaction_threshold(0.3);
+      const size_t before = ref.size();
+      ref.erase(std::remove_if(ref.begin(), ref.end(), match), ref.end());
+      ASSERT_EQ(removed, before - ref.size());
+    } else {
+      // ---- update one column of the rows in an n range
+      const int64_t lo = static_cast<int64_t>(rng.Below(30));
+      const SymRow assign = rand_row();
+      const size_t set_col = rng.Below(2);
+      Predicate pred;
+      pred.And(1, ir::CompareOp::kGe, ir::Value::Int(lo))
+          .And(1, ir::CompareOp::kLt, ir::Value::Int(lo + 3));
+      std::vector<ColumnSet> sets{{set_col, to_row(assign)[set_col]}};
+      size_t updated = 0;
+      ASSERT_TRUE(table->UpdateWhere(pred, sets, &updated).ok());
+      size_t want = 0;
+      for (SymRow& r : ref) {
+        if (r.second < lo || r.second >= lo + 3) continue;
+        ++want;
+        if (set_col == 0) {
+          r.first = assign.first;
+        } else {
+          r.second = assign.second;
+        }
+      }
+      ASSERT_EQ(updated, want);
+    }
+    most_rows = std::max(most_rows, ref.size());
+
+    // Through the handle: ranges only on built columns (asking for one
+    // would build it, which is a share route above).
+    ASSERT_NO_FATAL_FAILURE(CheckIndexes(*table, ref, *interner, rng, built));
+    for (const Held& h : held) {
+      ASSERT_NO_FATAL_FAILURE(
+          CheckIndexes(*h.version, h.ref, *interner, rng, {true, true}))
+          << "held version";
+    }
+  }
+  if (!reader.joinable()) hold_snapshot();
+  while (reads.load() == 0 && !reader_done.load()) std::this_thread::yield();
+  stop.store(true);
+  reader.join();
+  EXPECT_GT(most_rows, TableVersion::kChunkRows);  // several chunks
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexFirstLoadModelTest,
+                         ::testing::Range<uint64_t>(1, 17));
 
 }  // namespace
 }  // namespace eq::db
